@@ -24,7 +24,6 @@ from .algebra import (
     bvar,
     midx,
     monomial,
-    poly_sum,
     pvar,
     qvar,
 )

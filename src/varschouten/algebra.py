@@ -10,9 +10,10 @@ Everything downstream leans on the conventions fixed here:
   an even multiset, and a strictly sorted odd word.  The sign of the sorting
   permutation is absorbed into the coefficient; a repeated odd factor kills
   the monomial.
-* The global odd order is (fiber, |sigma|, sigma lexicographically by
-  dimension counts), padded with zeros, so it is stable under adding base
-  dimensions.
+* Variables are ordered by the tuple order of JetVariable, defined in one
+  place: (kind, covector slot, fiber, |sigma|, count row of sigma).  The row
+  is stored with trailing zeros trimmed, which compares like the zero-padded
+  row, so the order is stable under adding base dimensions.
 * Left partial with respect to an odd factor at 1-based position r of a
   length-k word carries (-1)^(r-1); the right partial carries (-1)^(k-r).
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 QKIND, PKIND, BKIND = 0, 1, 2
 LEFT, RIGHT = "left", "right"
@@ -61,66 +62,79 @@ class Geometry:
 
 
 class MultiIndex(NamedTuple):
-    """Sparse multi-index: ((dim, count), ...) with dims ascending, counts >= 1."""
+    """Multi-index sigma as (|sigma|, row): row[i] counts derivatives in dimension i+1.
 
-    counts: tuple[tuple[int, int], ...] = ()
+    Trailing zeros of the row are trimmed.  A trimmed row compares
+    lexicographically exactly like the zero-padded one, so the tuple order
+    (order first, then the row) does not change when base dimensions are added.
+    """
+
+    order: int = 0
+    row: tuple[int, ...] = ()
+
+    @staticmethod
+    def from_row(row: Sequence[int]) -> "MultiIndex":
+        row = list(row)
+        while row and not row[-1]:
+            row.pop()
+        return MultiIndex(sum(row), tuple(row))
 
     @property
-    def order(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def count(self, dim: int) -> int:
-        for d, c in self.counts:
-            if d == dim:
-                return c
-        return 0
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """Sparse form ((dim, count), ...) with dims ascending, counts >= 1."""
+        return tuple((d, c) for d, c in enumerate(self.row, 1) if c)
 
     def plus(self, dim: int) -> "MultiIndex":
-        out = dict(self.counts)
-        out[dim] = out.get(dim, 0) + 1
-        return MultiIndex(tuple(sorted(out.items())))
+        row = self.row
+        if dim > len(row):
+            return MultiIndex(self.order + 1, row + (0,) * (dim - 1 - len(row)) + (1,))
+        return MultiIndex(self.order + 1, row[: dim - 1] + (row[dim - 1] + 1,) + row[dim:])
 
     def minus(self, dim: int) -> "MultiIndex":
-        out = dict(self.counts)
-        if out.get(dim, 0) < 1:
+        row = self.row
+        if not 1 <= dim <= len(row) or row[dim - 1] < 1:
             raise DomainError(f"multi-index has no derivative in dimension {dim}")
-        out[dim] -= 1
-        if out[dim] == 0:
-            del out[dim]
-        return MultiIndex(tuple(sorted(out.items())))
-
-    def add(self, other: "MultiIndex") -> "MultiIndex":
-        out = dict(self.counts)
-        for d, c in other.counts:
-            out[d] = out.get(d, 0) + c
-        return MultiIndex(tuple(sorted(out.items())))
-
-    def dense(self, n: int) -> tuple[int, ...]:
-        row = [0] * n
-        for d, c in self.counts:
-            row[d - 1] = c
-        return tuple(row)
+        return MultiIndex.from_row(row[: dim - 1] + (row[dim - 1] - 1,) + row[dim:])
 
     def dims(self) -> Iterator[int]:
         """Each dimension repeated by its count, ascending."""
-        for d, c in self.counts:
+        for d, c in enumerate(self.row, 1):
             for _ in range(c):
                 yield d
 
 
 def midx(*dims: int) -> MultiIndex:
     """Multi-index from repeated dimension numbers: midx(1,1,2) = d/dx1 d/dx1 d/dx2."""
-    out: dict[int, int] = {}
+    row = [0] * max(dims, default=0)
     for d in dims:
-        out[d] = out.get(d, 0) + 1
-    return MultiIndex(tuple(sorted(out.items())))
+        if d < 1:
+            raise DomainError(f"base dimension {d} is not positive")
+        row[d - 1] += 1
+    return MultiIndex(len(dims), tuple(row))
 
 
-class JetVariable(NamedTuple):
+class _JetFields(NamedTuple):
     kind: int
+    slot: int  # covector slot, 0 for fiber variables
     fiber: int
     index: MultiIndex
-    slot: int = 0  # covector slot, 0 for fiber variables
+
+
+class JetVariable(_JetFields):
+    """A jet coordinate, built as JetVariable(kind, fiber, index, slot=0).
+
+    The fields are stored as (kind, slot, fiber, index), so plain tuple order
+    is the canonical variable order: kind, covector slot, fiber, |sigma|,
+    then the count row.  Every sorted word and even factor list uses it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: int, fiber: int, index: MultiIndex, slot: int = 0):
+        return tuple.__new__(cls, (kind, slot, fiber, index))
+
+    def __getnewargs__(self):
+        return self.kind, self.fiber, self.index, self.slot
 
     def shifted(self, dim: int) -> "JetVariable":
         return self._replace(index=self.index.plus(dim))
@@ -138,26 +152,25 @@ def pvar(slot: int, fiber: int = 1, *dims: int) -> JetVariable:
     return JetVariable(PKIND, fiber, midx(*dims), slot)
 
 
-# Sort keys.  The odd order must stay stable when base dimensions are added,
-# hence dense zero-padded count rows.  Cached: the variable universe per run
-# is small and NamedTuples hash fast.
-_key_cache: dict[tuple[JetVariable, int], tuple] = {}
+def _add_term(out: dict, mono, c) -> None:
+    """Accumulate c into out[mono], dropping the entry when it cancels."""
+    acc = out.get(mono)
+    if acc is None:
+        out[mono] = c
+    else:
+        acc = acc + c
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
 
 
-def _var_key(v: JetVariable, n: int) -> tuple:
-    k = _key_cache.get((v, n))
-    if k is None:
-        k = (v.kind, v.slot, v.fiber, v.index.order, v.index.dense(n))
-        _key_cache[(v, n)] = k
-    return k
-
-
-def _sort_word(word: list[JetVariable], n: int) -> tuple[int, tuple[JetVariable, ...]]:
+def _sort_word(word: list[JetVariable]) -> tuple[int, tuple[JetVariable, ...]]:
     """Insertion-sort an odd word, returning (sign, sorted word); sign 0 on a repeat."""
     sign = 1
     for i in range(1, len(word)):
         j = i
-        while j > 0 and _var_key(word[j], n) < _var_key(word[j - 1], n):
+        while j > 0 and word[j] < word[j - 1]:
             word[j], word[j - 1] = word[j - 1], word[j]
             sign = -sign
             j -= 1
@@ -167,7 +180,7 @@ def _sort_word(word: list[JetVariable], n: int) -> tuple[int, tuple[JetVariable,
     return sign, tuple(word)
 
 
-def _merge_odd(a: tuple, b: tuple, n: int) -> tuple[int, tuple]:
+def _merge_odd(a: tuple, b: tuple) -> tuple[int, tuple]:
     """Merge two sorted odd words; sign counts the cross inversions, 0 on a repeat."""
     if not a:
         return 1, b
@@ -178,17 +191,17 @@ def _merge_odd(a: tuple, b: tuple, n: int) -> tuple[int, tuple]:
     la, lb = len(a), len(b)
     sign = 1
     while i < la and j < lb:
-        ka, kb = _var_key(a[i], n), _var_key(b[j], n)
-        if ka == kb:
+        va, vb = a[i], b[j]
+        if va == vb:
             return 0, ()
-        if ka < kb:
-            out.append(a[i])
+        if va < vb:
+            out.append(va)
             i += 1
         else:
             # b[j] jumps over the remaining la - i factors of a
             if (la - i) % 2:
                 sign = -sign
-            out.append(b[j])
+            out.append(vb)
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
@@ -196,7 +209,7 @@ def _merge_odd(a: tuple, b: tuple, n: int) -> tuple[int, tuple]:
 
 
 def _merge_powers(a: tuple, b: tuple) -> tuple:
-    """Merge sorted (key, exponent) tuples, adding exponents."""
+    """Merge sorted (key, exponent) tuples of base powers or even factors, adding exponents."""
     if not a:
         return b
     if not b:
@@ -207,21 +220,10 @@ def _merge_powers(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _merge_even(a: tuple, b: tuple, n: int) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) + e
-    return tuple(sorted(out.items(), key=lambda ve: _var_key(ve[0], n)))
-
-
 class Monomial(NamedTuple):
     base: tuple[tuple[int, int], ...]  # (dim, exponent), dims ascending
-    even: tuple[tuple[JetVariable, int], ...]  # (variable, exponent), key ascending
-    odd: tuple[JetVariable, ...]  # strictly ascending under the global odd order
+    even: tuple[tuple[JetVariable, int], ...]  # (variable, exponent), variables ascending
+    odd: tuple[JetVariable, ...]  # strictly ascending
 
     @property
     def b_degree(self) -> int:
@@ -231,13 +233,11 @@ class Monomial(NamedTuple):
 _ONE_MONO = Monomial((), (), ())
 
 
-def _mul_monomials(a: Monomial, b: Monomial, n: int) -> tuple[int, Monomial] | None:
-    sign, odd = _merge_odd(a.odd, b.odd, n)
+def _mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
+    sign, odd = _merge_odd(a.odd, b.odd)
     if sign == 0:
         return None
-    return sign, Monomial(
-        _merge_powers(a.base, b.base), _merge_even(a.even, b.even, n), odd
-    )
+    return sign, Monomial(_merge_powers(a.base, b.base), _merge_powers(a.even, b.even), odd)
 
 
 def _check_var(v: JetVariable, g: Geometry) -> None:
@@ -248,11 +248,10 @@ def _check_var(v: JetVariable, g: Geometry) -> None:
             raise DomainError(f"covector slot {v.slot} outside geometry bounds (s={g.s})")
     elif v.slot != 0:
         raise DomainError("fiber variables carry no covector slot")
-    for d, c in v.index.counts:
-        if not 1 <= d <= g.n:
-            raise DomainError(f"base dimension {d} outside geometry bounds (n={g.n})")
-        if c < 1:
-            raise DomainError("multi-index counts must be positive")
+    if len(v.index.row) > g.n:
+        raise DomainError(
+            f"base dimension {len(v.index.row)} outside geometry bounds (n={g.n})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,15 +315,7 @@ class DiffPolynomial:
         self._same_geometry(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
+            _add_term(out, m, c)
         return DiffPolynomial(self.geometry, out)
 
     def __neg__(self) -> "DiffPolynomial":
@@ -343,24 +334,13 @@ class DiffPolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._same_geometry(other)
-        n = self.geometry.n
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                r = _mul_monomials(m1, m2, n)
-                if r is None:
-                    continue
-                sign, mono = r
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc = out.get(mono)
-                if acc is None:
-                    out[mono] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[mono] = acc
-                    else:
-                        del out[mono]
+                r = _mul_monomials(m1, m2)
+                if r is not None:
+                    sign, mono = r
+                    _add_term(out, mono, c1 * c2 if sign > 0 else -(c1 * c2))
         return DiffPolynomial(self.geometry, out)
 
     def __rmul__(self, other):
@@ -419,53 +399,32 @@ class DiffPolynomial:
                         break
                 if coeff is None:
                     continue
-            acc = out.get(mono)
-            out[mono] = coeff if acc is None else acc + coeff
-        return DiffPolynomial(self.geometry, {m: c for m, c in out.items() if c})
-
-    def partial_left(self, v: JetVariable) -> "DiffPolynomial":
-        return self.partial(v, LEFT)
-
-    def partial_right(self, v: JetVariable) -> "DiffPolynomial":
-        return self.partial(v, RIGHT)
+            _add_term(out, mono, coeff)
+        return DiffPolynomial(self.geometry, out)
 
     def total_derivative(self, dim: int) -> "DiffPolynomial":
         """Total derivative D_dim: Leibniz over base powers and all jet factors."""
         g = self.geometry
         if not 1 <= dim <= g.n:
             raise DomainError(f"base dimension {dim} outside geometry bounds (n={g.n})")
-        n = g.n
         out: dict[Monomial, Fraction] = {}
-
-        def put(mono: Monomial, c: Fraction) -> None:
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-
         for m, c in self.terms.items():
             for t, (d, e) in enumerate(m.base):
                 if d == dim:
                     rest = m.base[:t] + (((d, e - 1),) if e > 1 else ()) + m.base[t + 1 :]
-                    put(Monomial(rest, m.even, m.odd), c * e)
+                    _add_term(out, Monomial(rest, m.even, m.odd), c * e)
                     break
             for t, (v, e) in enumerate(m.even):
                 shifted = v.shifted(dim)
                 rest = m.even[:t] + (((v, e - 1),) if e > 1 else ()) + m.even[t + 1 :]
-                even = _merge_even(rest, ((shifted, 1),), n)
-                put(Monomial(m.base, even, m.odd), c * e)
+                even = _merge_powers(rest, ((shifted, 1),))
+                _add_term(out, Monomial(m.base, even, m.odd), c * e)
             for t, v in enumerate(m.odd):
                 word = list(m.odd)
                 word[t] = v.shifted(dim)
-                sign, sorted_word = _sort_word(word, n)
-                if sign == 0:
-                    continue
-                put(Monomial(m.base, m.even, sorted_word), c if sign > 0 else -c)
+                sign, sorted_word = _sort_word(word)
+                if sign:
+                    _add_term(out, Monomial(m.base, m.even, sorted_word), c if sign > 0 else -c)
         return DiffPolynomial(g, out)
 
     def total_derivative_multi(self, sigma: MultiIndex) -> "DiffPolynomial":
@@ -489,12 +448,13 @@ class DiffPolynomial:
                     yield v
 
     def family_indices(self, kind: int, fiber: int, slot: int = 0) -> list[MultiIndex]:
-        out = {
-            v.index
-            for v in self.jet_variables()
-            if v.kind == kind and v.fiber == fiber and v.slot == slot
-        }
-        return sorted(out, key=lambda ix: (ix.order, ix.dense(self.geometry.n)))
+        return sorted(
+            {
+                v.index
+                for v in self.jet_variables()
+                if v.kind == kind and v.fiber == fiber and v.slot == slot
+            }
+        )
 
     def families(self) -> set[tuple[int, int, int]]:
         """(kind, fiber, slot) triples present in the polynomial."""
@@ -521,7 +481,6 @@ class DiffPolynomial:
                 raise DomainError(f"odd position {pos} is not positive")
             if not 1 <= slot <= g.s:
                 raise DomainError(f"covector slot {slot} outside geometry bounds (s={g.s})")
-        n = g.n
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             hit = [(pos, slot) for pos, slot in assignments.items() if pos <= len(m.odd)]
@@ -532,20 +491,12 @@ class DiffPolynomial:
                 new_even: tuple = ()
                 for pos, slot in hit:
                     v = m.odd[pos - 1]
-                    new_even = _merge_even(
-                        new_even, ((JetVariable(PKIND, v.fiber, v.index, slot), 1),), n
+                    new_even = _merge_powers(
+                        new_even, ((JetVariable(PKIND, v.fiber, v.index, slot), 1),)
                     )
                 word = tuple(v for i, v in enumerate(m.odd) if i not in drop)
-                mono = Monomial(m.base, _merge_even(m.even, new_even, n), word)
-            acc = out.get(mono)
-            if acc is None:
-                out[mono] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
+                mono = Monomial(m.base, _merge_powers(m.even, new_even), word)
+            _add_term(out, mono, c)
         return DiffPolynomial(g, out)
 
     def substitute_slot(
@@ -593,13 +544,6 @@ class DiffPolynomial:
         return result
 
 
-def poly_sum(g: Geometry, parts: Iterable[DiffPolynomial]) -> DiffPolynomial:
-    out = DiffPolynomial.zero(g)
-    for p in parts:
-        out = out + p
-    return out
-
-
 def monomial(
     g: Geometry,
     coeff=1,
@@ -622,12 +566,12 @@ def monomial(
         _check_var(v, g)
         if v.kind == BKIND:
             raise DomainError("odd variable passed as even factor")
-        ev = _merge_even(ev, ((v, 1),), g.n)
+        ev = _merge_powers(ev, ((v, 1),))
     for v in odd:
         _check_var(v, g)
         if v.kind != BKIND:
             raise DomainError("even variable passed as odd factor")
-    sign, word = _sort_word(list(odd), g.n)
+    sign, word = _sort_word(list(odd))
     if sign == 0:
         return DiffPolynomial.zero(g)
     mono = Monomial(tuple(sorted(base)), ev, word)

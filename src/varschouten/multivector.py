@@ -29,6 +29,7 @@ from .algebra import (
     Geometry,
     JetVariable,
     Monomial,
+    _add_term,
     _sort_word,
 )
 from .variational import Functional, equivalent, is_exact, var_b
@@ -178,7 +179,6 @@ def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
     order = {slot: i for i, slot in enumerate(slots)}
     if len(order) != len(slots):
         raise DomainError("covector slots must be distinct")
-    n = g.n
     out: dict[Monomial, Fraction] = {}
     for m, c in density.terms.items():
         letters: list[JetVariable | None] = [None] * len(slots)
@@ -197,18 +197,7 @@ def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
             raise DomainError("monomial missing a covector slot; not an evaluation image")
         if m.odd:
             raise DomainError("density still contains odd factors; not fully evaluated")
-        sign, sorted_word = _sort_word([x for x in letters if x is not None], n)
-        if sign == 0:
-            continue
-        mono = Monomial(m.base, tuple(kept), sorted_word)
-        coeff = c if sign > 0 else -c
-        acc = out.get(mono)
-        if acc is None:
-            out[mono] = coeff
-        else:
-            acc = acc + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                del out[mono]
+        sign, sorted_word = _sort_word(letters)
+        if sign:
+            _add_term(out, Monomial(m.base, tuple(kept), sorted_word), c if sign > 0 else -c)
     return Multivector(Functional(DiffPolynomial(g, out)), len(slots))

@@ -4,7 +4,8 @@ Grammar, in words: an expression is a signed sum of terms; a term is a
 product of factors joined by `*` (juxtaposition is rejected so derivative
 suffixes like `b_x1x2` stay unambiguous); a factor is a rational literal,
 a variable token, a bound name, or a parenthesized expression, optionally
-raised to a nonnegative integer power with `^`.
+raised to a nonnegative integer power with `^`.  Exponents above 64 and
+parentheses nested more than 100 deep are parse errors.
 
 Variable tokens:
     x           the base variable (n = 1), or x1..xn for n > 1
@@ -61,6 +62,12 @@ _BASE_RE = re.compile(r"x([0-9]+)$")
 
 _KINDS = {"q": QKIND, "b": BKIND}
 
+# Fixed limits on hostile input.  Each level of parentheses costs four
+# interpreter frames, so 100 levels stay far below the recursion limit; the
+# exponent cap keeps `q^99999999999` from multiplying without end.
+_MAX_NESTING = 100
+_MAX_EXPONENT = 64
+
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     line = text.count("\n", 0, pos) + 1
@@ -105,6 +112,7 @@ class _ExprParser:
         self.names = names or {}
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _err(self, message: str, pos: int | None = None):
         if pos is None:
@@ -161,6 +169,8 @@ class _ExprParser:
                 self._err("exponent must be a nonnegative integer")
             self._take()
             exp = int(tok.text)
+            if exp > _MAX_EXPONENT:
+                self._err(f"exponent {exp} exceeds the limit {_MAX_EXPONENT}", tok.pos)
             result = DiffPolynomial.const(self.g, 1)
             for _ in range(exp):
                 result = result * value
@@ -180,12 +190,16 @@ class _ExprParser:
             self._take()
             return self._variable(tok)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == _MAX_NESTING:
+                self._err(f"parentheses nested deeper than {_MAX_NESTING} levels", tok.pos)
+            self.depth += 1
             self._take()
             value = self._expr()
             closer = self._peek()
             if closer.kind != "op" or closer.text != ")":
                 self._err("expected ')'", closer.pos)
             self._take()
+            self.depth -= 1
             return value
         if tok.kind == "end":
             self._err("unexpected end of input")
@@ -216,7 +230,7 @@ class _ExprParser:
             fiber = self._fiber(fiber_s, tok)
             dims = self._dims(suffix, tok)
             return DiffPolynomial.variable(
-                g, JetVariable(_KINDS[letter], fiber, _to_index(dims))
+                g, JetVariable(_KINDS[letter], fiber, midx(*dims))
             )
         m = _SLOT_RE.match(name)
         if m:
@@ -231,7 +245,7 @@ class _ExprParser:
                 self._err(f"fiber index {fiber} out of range 1..{g.m}", tok.pos)
             dims = self._dims(suffix, tok)
             return DiffPolynomial.variable(
-                g, JetVariable(PKIND, fiber, _to_index(dims), slot)
+                g, JetVariable(PKIND, fiber, midx(*dims), slot)
             )
         self._err(f"unknown name {name!r}", tok.pos)
 
@@ -254,10 +268,6 @@ class _ExprParser:
             expected = "'x' letters" if self.g.n == 1 else "pairs like x1x1x2"
             self._err(f"bad derivative suffix {suffix!r}; expected {expected}", tok.pos)
         return dims
-
-
-def _to_index(dims: tuple[int, ...]):
-    return midx(*dims)
 
 
 def parse_polynomial(

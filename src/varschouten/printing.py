@@ -1,11 +1,12 @@
 """Deterministic pretty-printing, plain text and LaTeX.
 
-Terms are emitted in graded-lex order on the canonical monomial key.  Odd
-factors are stored ascending with the reordering sign folded into the
-coefficient; for display, a term whose coefficient is negative is shown with
-its odd word reversed whenever the reversal is an odd permutation, so e.g.
-the canonical -2*x^3*b*b_xxx prints as 2*x^3*b_xxx*b.  parse(print(f))
-returns f either way.
+Terms are sorted by b-degree, then odd word, even factors and base powers,
+with variables compared in the tuple order of JetVariable: the same order
+the algebra stores words and factors in.  Odd factors are stored ascending
+with the reordering sign folded into the coefficient; for display, a term
+whose coefficient is negative is shown with its odd word reversed whenever
+the reversal is an odd permutation, so e.g. the canonical -2*x^3*b*b_xxx
+prints as 2*x^3*b_xxx*b.  parse(print(f)) returns f either way.
 """
 
 from __future__ import annotations

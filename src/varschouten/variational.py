@@ -29,7 +29,7 @@ from .algebra import (
     JetVariable,
     Monomial,
     MultiIndex,
-    midx,
+    _add_term,
 )
 
 
@@ -46,23 +46,20 @@ def var_derivative(
     bounds = [0] * g.n
     for v in f.jet_variables():
         if v.kind == kind and v.fiber == fiber and v.slot == slot:
-            for d, c in v.index.counts:
-                bounds[d - 1] = max(bounds[d - 1], c)
+            for d, c in enumerate(v.index.row):
+                bounds[d] = max(bounds[d], c)
 
-    def rec(dim: int, prefix: dict[int, int]) -> DiffPolynomial:
+    def rec(dim: int, row: list[int]) -> DiffPolynomial:
         if dim > g.n:
-            ix = MultiIndex(tuple(sorted((d, c) for d, c in prefix.items() if c)))
+            ix = MultiIndex.from_row(row)
             return f.partial(JetVariable(kind, fiber, ix, slot), side)
         top = bounds[dim - 1]
-        prefix[dim] = top
-        acc = rec(dim + 1, prefix)
+        acc = rec(dim + 1, row + [top])
         for k in range(top - 1, -1, -1):
-            prefix[dim] = k
-            acc = rec(dim + 1, prefix) - acc.total_derivative(dim)
-        del prefix[dim]
+            acc = rec(dim + 1, row + [k]) - acc.total_derivative(dim)
         return acc
 
-    return rec(1, {})
+    return rec(1, [])
 
 
 def var_q(f: DiffPolynomial, fiber: int) -> DiffPolynomial:
@@ -157,15 +154,7 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
             else:
                 pending[m] = c
         for m, c in ready.items():
-            acc = done.get(m)
-            if acc is None:
-                done[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    done[m] = acc
-                else:
-                    del done[m]
+            _add_term(done, m, c)
         if not pending:
             break
         shaved = DiffPolynomial.zero(g)

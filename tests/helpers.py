@@ -154,5 +154,18 @@ def polynomials(draw, g: Geometry = G11, degree=None, max_terms: int = 3):
     return out
 
 
+def reference_order(n: int):
+    """Sort key of the canonical variable order, written out independently:
+    (kind, slot, fiber, |sigma|, count row of sigma zero-padded to n dims)."""
+
+    def key(v: JetVariable) -> tuple:
+        row = [0] * n
+        for dim, count in v.index.counts:
+            row[dim - 1] = count
+        return (v.kind, v.slot, v.fiber, sum(row), tuple(row))
+
+    return key
+
+
 def assert_models_agree(f: DiffPolynomial, model: BladeModel, expected: dict):
     assert model.from_poly(f) == expected

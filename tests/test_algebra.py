@@ -6,10 +6,13 @@ helpers, which counts inversions from scratch over a different variable
 order.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varschouten import (
     DiffPolynomial,
@@ -18,6 +21,8 @@ from varschouten import (
     JetVariable,
     BKIND,
     LEFT,
+    PKIND,
+    QKIND,
     RIGHT,
     bvar,
     midx,
@@ -26,7 +31,7 @@ from varschouten import (
     qvar,
 )
 
-from helpers import G11, G22, BladeModel, polynomials
+from helpers import G11, G22, BladeModel, polynomials, reference_order, variables
 
 g = Geometry(1, 1, 2)
 
@@ -57,6 +62,46 @@ def test_odd_order_is_fiber_major():
     ((mono, coeff),) = prod.terms.items()
     assert mono.odd == (bvar(1, 1), bvar(2))
     assert coeff == -1
+
+
+def test_jet_variable_survives_pickle_and_deepcopy():
+    v = JetVariable(PKIND, 1, midx(1), 2)
+    copies = [pickle.loads(pickle.dumps(v, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for w in copies + [copy.deepcopy(v)]:
+        assert type(w) is JetVariable
+        assert w == v
+        assert (w.kind, w.fiber, w.index, w.slot) == (PKIND, 1, midx(1), 2)
+
+
+def _any_variable(geo):
+    slot_vars = st.builds(
+        lambda v, slot: JetVariable(PKIND, v.fiber, v.index, slot),
+        variables(geo, PKIND),
+        st.integers(1, geo.s),
+    )
+    return st.one_of(variables(geo, QKIND), variables(geo, BKIND), slot_vars)
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["1d", "2d"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tuple_order_is_the_reference_order(geo, data):
+    n = geo.n
+    vs = data.draw(st.lists(_any_variable(geo), max_size=8))
+    assert sorted(vs) == sorted(vs, key=reference_order(n))
+    assert sorted(vs) == sorted(vs, key=reference_order(n + 1))
+    # stored words and factor lists are ascending in the reference order,
+    # so the signs folded into coefficients are the reference signs
+    f, h = data.draw(polynomials(geo)), data.draw(polynomials(geo))
+    key = reference_order(n)
+    results = [f * h, f.substitute_odd({1: 1})]
+    results += [f.total_derivative(dim) for dim in range(1, n + 1)]
+    for r in results:
+        for m in r.terms:
+            odd = [key(v) for v in m.odd]
+            even = [key(v) for v, _ in m.even]
+            assert odd == sorted(set(odd))
+            assert even == sorted(set(even))
 
 
 def test_left_and_right_partials_differ_by_position():

@@ -118,6 +118,10 @@ def test_bound_names_substitute_polynomials():
         ("q@", "unexpected character '@'", 1, 2),
         ("q +\n* b", "unexpected '*'", 2, 1),
         ("1/2*q +\nq*b_xy", "bad derivative suffix 'xy'", 2, 3),
+        pytest.param(
+            "(" * 3000 + "q" + ")" * 3000, "nested deeper than 100", 1, 101, id="deep-nesting"
+        ),
+        ("q^99999999999", "exponent 99999999999 exceeds the limit 64", 1, 3),
     ],
 )
 def test_error_positions(text, fragment, line, col):

@@ -158,6 +158,15 @@ def test_parse_error_exit_code(capsys):
     assert err == "parse error: line 1, col 3: bad derivative suffix 'xz'; expected 'x' letters\n"
 
 
+def test_hostile_input_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "degree", "(" * 3000 + "q" + ")" * 3000)
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1, col 101: parentheses nested deeper than 100 levels\n"
+    code, out, err = run_cli(capsys, "degree", "q^99999999999")
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 1, col 3: exponent 99999999999 exceeds the limit 64\n"
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "b*b_x", "1", "1")
     assert code == 3
