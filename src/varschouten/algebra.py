@@ -22,6 +22,7 @@ Coefficients are exact rationals and base-variable dependence is polynomial.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -137,7 +138,8 @@ class JetVariable(_JetFields):
         return self.kind, self.fiber, self.index, self.slot
 
     def shifted(self, dim: int) -> "JetVariable":
-        return self._replace(index=self.index.plus(dim))
+        kind, slot, fiber, index = self
+        return tuple.__new__(JetVariable, (kind, slot, fiber, index.plus(dim)))
 
 
 def qvar(fiber: int = 1, *dims: int) -> JetVariable:
@@ -220,6 +222,14 @@ def _merge_powers(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(out.items()))
 
 
+def _insert_power(powers: tuple, v) -> tuple:
+    """Multiply sorted (key, exponent) powers by one more factor v."""
+    i = bisect_left(powers, (v,))
+    if i < len(powers) and powers[i][0] == v:
+        return powers[:i] + ((v, powers[i][1] + 1),) + powers[i + 1 :]
+    return powers[:i] + ((v, 1),) + powers[i:]
+
+
 class Monomial(NamedTuple):
     base: tuple[tuple[int, int], ...]  # (dim, exponent), dims ascending
     even: tuple[tuple[JetVariable, int], ...]  # (variable, exponent), variables ascending
@@ -238,6 +248,16 @@ def _mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
     if sign == 0:
         return None
     return sign, Monomial(_merge_powers(a.base, b.base), _merge_powers(a.even, b.even), odd)
+
+
+def _mul_into(out: dict, left: dict, right: dict) -> None:
+    """Accumulate the graded product of two term dicts into out."""
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            r = _mul_monomials(m1, m2)
+            if r is not None:
+                sign, mono = r
+                _add_term(out, mono, c1 * c2 if sign > 0 else -(c1 * c2))
 
 
 def _check_var(v: JetVariable, g: Geometry) -> None:
@@ -335,12 +355,7 @@ class DiffPolynomial:
             return self.scaled(other)
         self._same_geometry(other)
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = _mul_monomials(m1, m2)
-                if r is not None:
-                    sign, mono = r
-                    _add_term(out, mono, c1 * c2 if sign > 0 else -(c1 * c2))
+        _mul_into(out, self.terms, other.terms)
         return DiffPolynomial(self.geometry, out)
 
     def __rmul__(self, other):
@@ -412,13 +427,12 @@ class DiffPolynomial:
             for t, (d, e) in enumerate(m.base):
                 if d == dim:
                     rest = m.base[:t] + (((d, e - 1),) if e > 1 else ()) + m.base[t + 1 :]
-                    _add_term(out, Monomial(rest, m.even, m.odd), c * e)
+                    _add_term(out, Monomial(rest, m.even, m.odd), c * e if e > 1 else c)
                     break
             for t, (v, e) in enumerate(m.even):
-                shifted = v.shifted(dim)
                 rest = m.even[:t] + (((v, e - 1),) if e > 1 else ()) + m.even[t + 1 :]
-                even = _merge_powers(rest, ((shifted, 1),))
-                _add_term(out, Monomial(m.base, even, m.odd), c * e)
+                even = _insert_power(rest, v.shifted(dim))
+                _add_term(out, Monomial(m.base, even, m.odd), c * e if e > 1 else c)
             for t, v in enumerate(m.odd):
                 word = list(m.odd)
                 word[t] = v.shifted(dim)
@@ -488,14 +502,12 @@ class DiffPolynomial:
                 mono = m
             else:
                 drop = {pos - 1 for pos, _ in hit}
-                new_even: tuple = ()
+                even = m.even
                 for pos, slot in hit:
                     v = m.odd[pos - 1]
-                    new_even = _merge_powers(
-                        new_even, ((JetVariable(PKIND, v.fiber, v.index, slot), 1),)
-                    )
+                    even = _insert_power(even, JetVariable(PKIND, v.fiber, v.index, slot))
                 word = tuple(v for i, v in enumerate(m.odd) if i not in drop)
-                mono = Monomial(m.base, _merge_powers(m.even, new_even), word)
+                mono = Monomial(m.base, even, word)
             _add_term(out, mono, c)
         return DiffPolynomial(g, out)
 
@@ -516,16 +528,7 @@ class DiffPolynomial:
             self._same_geometry(sec)
             if any(m.b_degree % 2 for m in sec.terms):
                 raise DomainError("slot substitution needs even sections")
-        cache: dict[tuple[int, MultiIndex], DiffPolynomial] = {}
-
-        def transported(fiber: int, ix: MultiIndex) -> DiffPolynomial:
-            key = (fiber, ix)
-            got = cache.get(key)
-            if got is None:
-                got = sections[fiber - 1].total_derivative_multi(ix)
-                cache[key] = got
-            return got
-
+        jets = [{MultiIndex(): sec} for sec in sections]
         result = DiffPolynomial.zero(g)
         for m, c in self.terms.items():
             kept: list = []
@@ -537,11 +540,22 @@ class DiffPolynomial:
                     kept.append((v, e))
             piece = DiffPolynomial(g, {Monomial(m.base, tuple(kept), m.odd): c})
             for fiber, ix, e in factors:
-                rep = transported(fiber, ix)
+                rep = _jet(jets[fiber - 1], ix)
                 for _ in range(e):
                     piece = piece * rep
             result = result + piece
         return result
+
+
+def _jet(jets: dict, ix: MultiIndex) -> DiffPolynomial:
+    """D_ix of the section stored at jets[MultiIndex()], memoized by prefixes:
+    D_sigma = D_d D_{sigma - d}, with d the last dimension of sigma."""
+    got = jets.get(ix)
+    if got is None:
+        d = len(ix.row)
+        got = _jet(jets, ix.minus(d)).total_derivative(d)
+        jets[ix] = got
+    return got
 
 
 def monomial(
@@ -556,17 +570,19 @@ def monomial(
     c = Fraction(coeff)
     if c == 0:
         return DiffPolynomial.zero(g)
+    powers: tuple = ()
     for d, e in base:
         if not 1 <= d <= g.n:
             raise DomainError(f"base dimension {d} outside geometry bounds (n={g.n})")
         if e < 1:
             raise DomainError("base exponents must be positive")
+        powers = _merge_powers(powers, ((d, e),))
     ev: tuple = ()
     for v in even:
         _check_var(v, g)
         if v.kind == BKIND:
             raise DomainError("odd variable passed as even factor")
-        ev = _merge_powers(ev, ((v, 1),))
+        ev = _insert_power(ev, v)
     for v in odd:
         _check_var(v, g)
         if v.kind != BKIND:
@@ -574,5 +590,5 @@ def monomial(
     sign, word = _sort_word(list(odd))
     if sign == 0:
         return DiffPolynomial.zero(g)
-    mono = Monomial(tuple(sorted(base)), ev, word)
+    mono = Monomial(powers, ev, word)
     return DiffPolynomial(g, {mono: c if sign > 0 else -c})

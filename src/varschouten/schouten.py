@@ -13,6 +13,9 @@ Recursive route: the bracket is pinned down by its fully inserted values,
     [[xi,eta]](p) = l/(k+l-1) [[xi, eta(p)]] + (-1)^(l-1) k/(k+l-1) [[xi(p), eta]],
 
 bottoming out at [[H, phi]] = int d_phi(H) and [[phi, H]] = -int d_phi(H).
+The coefficients along each path of the recursion tree multiply into a path
+weight that is carried down to the leaves, so the inserted value is
+sum_leaves weight * leaf, accumulated in one term dict.
 
 SIGN CONVENTION (load-bearing): applying an evolutionary field multiplies the
 transported section on the LEFT of the left partial derivative,
@@ -38,6 +41,10 @@ from .algebra import (
     DomainError,
     Geometry,
     JetVariable,
+    MultiIndex,
+    _add_term,
+    _jet,
+    _mul_into,
 )
 from .multivector import Multivector, from_slots, iota
 from .variational import Functional, is_exact, var_b, var_q
@@ -68,20 +75,26 @@ class EvolutionaryField:
                     raise DomainError("b-section parity disagrees with field parity")
 
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
-        """Transported sections, multiplied on the left of the left partials."""
+        """Transported sections, multiplied on the left of the left partials.
+
+        Each section's jets D_sigma(sec) are built once per call, each from a
+        shorter one, and every product is accumulated into one term dict.
+        """
         g = f.geometry
-        out = DiffPolynomial.zero(g)
+        out: dict = {}
         for kind, sections in ((QKIND, self.q_sections), (BKIND, self.b_sections)):
             for alpha in range(1, g.m + 1):
                 sec = sections[alpha - 1]
                 if sec.is_zero:
                     continue
+                f._same_geometry(sec)
+                jets = {MultiIndex(): sec}
                 for ix in f.family_indices(kind, alpha):
                     part = f.partial(JetVariable(kind, alpha, ix), LEFT)
                     if part.is_zero:
                         continue
-                    out = out + sec.total_derivative_multi(ix) * part
-        return out
+                    _mul_into(out, _jet(jets, ix).terms, part.terms)
+        return DiffPolynomial(g, out)
 
 
 def evolutionary_field(
@@ -201,29 +214,32 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
 
 
 def _recursive_density(
-    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...]
-) -> DiffPolynomial:
-    geo = f.geometry
-    if k == 0 and l == 0:
-        return DiffPolynomial.zero(geo)
-    if k == 0 and l == 1:
-        return _apply_q_sections(_section_of(g), f)
-    if k == 1 and l == 0:
-        return -_apply_q_sections(_section_of(f), g)
+    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...],
+    weight: Fraction, out: dict,
+) -> None:
+    """Add weight * [[f, g]](slots) into the term dict out, for k + l >= 1.
+
+    Each step multiplies the path weight by l/(k+l-1) or (-1)^(l-1) k/(k+l-1)
+    and passes it down; only the leaves [[H, phi]] and [[phi, H]] build a
+    polynomial, so the inserted value is sum_leaves weight * leaf.
+    """
+    if k + l == 1:
+        if k == 0:
+            leaf = _apply_q_sections(_section_of(g), f)
+        else:
+            leaf = _apply_q_sections(_section_of(f), g)
+            weight = -weight
+        for m, c in leaf.terms.items():
+            _add_term(out, m, c * weight)
+        return
     total = k + l - 1
     p = slots[-1]
     rest = slots[:-1]
-    out = DiffPolynomial.zero(geo)
     if l >= 1:
-        out = out + _recursive_density(f, k, iota(g, p), l - 1, rest).scaled(
-            Fraction(l, total)
-        )
+        _recursive_density(f, k, iota(g, p), l - 1, rest, weight * Fraction(l, total), out)
     if k >= 1:
-        piece = _recursive_density(iota(f, p), k - 1, g, l, rest).scaled(
-            Fraction(k, total)
-        )
-        out = out + (piece if (l - 1) % 2 == 0 else -piece)
-    return out
+        w = weight * Fraction(k, total)
+        _recursive_density(iota(f, p), k - 1, g, l, rest, w if (l - 1) % 2 == 0 else -w, out)
 
 
 def bracket_recursive(
@@ -259,7 +275,9 @@ def bracket_recursive(
                 raise DomainError(f"slot {j} outside 1..{geo.s}")
             if j in used:
                 raise DomainError(f"slot {j} already occupied by an argument")
-    inserted = _recursive_density(xi.density, k, eta.density, l, slots)
+    terms: dict = {}
+    _recursive_density(xi.density, k, eta.density, l, slots, Fraction(1), terms)
+    inserted = DiffPolynomial(geo, terms)
     if total == 0:
         return _report(inserted, "recursive", k, l, inserted=Functional(inserted), slots=())
     rebuilt = from_slots(inserted, slots)

@@ -1,4 +1,4 @@
-"""Cross-check model and shared hypothesis strategies.
+"""Cross-check models and shared hypothesis strategies.
 
 BladeModel is a from-scratch implementation of the graded product and the
 one-sided partials: odd words become bitmask blades over a registry that
@@ -6,6 +6,11 @@ orders variables by first appearance (deliberately not the engine's
 canonical order), and every sign comes from explicit inversion counting.
 Agreement between the model and the engine is therefore evidence that the
 engine's merge-sign bookkeeping is right, not just self-consistent.
+
+naive_apply and reference_inserted are the evolutionary-field action and
+the bracket's insertion recursion written the plain way: every jet of a
+section transported from scratch, and every recursion node building its
+polynomial with scaled and +.
 """
 
 from __future__ import annotations
@@ -17,14 +22,17 @@ from hypothesis import strategies as st
 
 from varschouten import (
     BKIND,
+    LEFT,
     DiffPolynomial,
     Geometry,
     JetVariable,
     QKIND,
     bvar,
+    iota,
     midx,
     monomial,
     qvar,
+    var_b,
 )
 
 
@@ -169,3 +177,49 @@ def reference_order(n: int):
 
 def assert_models_agree(f: DiffPolynomial, model: BladeModel, expected: dict):
     assert model.from_poly(f) == expected
+
+
+# ------------------------------------------------------- reference recursion
+
+
+def naive_apply(q_sections, b_sections, f: DiffPolynomial) -> DiffPolynomial:
+    """sum over kind, alpha, sigma of D_sigma(section) * (left partial of f)."""
+    out = DiffPolynomial.zero(f.geometry)
+    for kind, sections in ((QKIND, q_sections), (BKIND, b_sections)):
+        for alpha, sec in enumerate(sections, 1):
+            for ix in f.family_indices(kind, alpha):
+                part = f.partial(JetVariable(kind, alpha, ix), LEFT)
+                out = out + sec.total_derivative_multi(ix) * part
+    return out
+
+
+def _reference_density(f, k, h, l, slots):
+    geo = f.geometry
+    if k == 0 and l == 0:
+        return DiffPolynomial.zero(geo)
+    if k + l == 1:
+        phi, hamiltonian = (h, f) if k == 0 else (f, h)
+        sections = [var_b(phi, a, LEFT) for a in range(1, geo.m + 1)]
+        leaf = naive_apply(sections, [], hamiltonian)
+        return leaf if k == 0 else -leaf
+    total = k + l - 1
+    p, rest = slots[-1], slots[:-1]
+    out = DiffPolynomial.zero(geo)
+    if l >= 1:
+        out = out + _reference_density(f, k, iota(h, p), l - 1, rest).scaled(
+            Fraction(l, total)
+        )
+    if k >= 1:
+        piece = _reference_density(iota(f, p), k - 1, h, l, rest).scaled(
+            Fraction(k, total)
+        )
+        out = out + (piece if (l - 1) % 2 == 0 else -piece)
+    return out
+
+
+def reference_inserted(xi, eta, slots) -> DiffPolynomial:
+    """[[xi, eta]] fully inserted on slots by the recursion
+    [[xi,eta]](p) = l/(k+l-1) [[xi, eta(p)]] + (-1)^(l-1) k/(k+l-1) [[xi(p), eta]],
+    each node building its value eagerly, each leaf [[H, phi]] = d_phi(H)
+    summed naively."""
+    return _reference_density(xi.density, xi.degree, eta.density, eta.degree, tuple(slots))

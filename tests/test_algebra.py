@@ -27,6 +27,7 @@ from varschouten import (
     bvar,
     midx,
     monomial,
+    parse_polynomial,
     pvar,
     qvar,
 )
@@ -178,6 +179,12 @@ def test_geometry_bounds_enforced():
         monomial(g, 1, even=[pvar(3, 1)])  # slot 3 with s=2
     with pytest.raises(DomainError):
         Geometry(0, 1, 1)
+
+
+def test_repeated_base_dimensions_merge():
+    built = monomial(g, 1, base=[(1, 1), (1, 1)])
+    assert built == DiffPolynomial.base(g, 1, 2)
+    assert built == parse_polynomial("x*x", g)
 
 
 def test_mixed_geometry_arithmetic_rejected():

@@ -18,6 +18,7 @@ from varschouten import (
     DomainError,
     EvolutionaryField,
     Functional,
+    GeneratorConfig,
     Geometry,
     Multivector,
     bracket_base_case,
@@ -39,12 +40,15 @@ from varschouten import (
     q_differential_check,
     q_field,
     qvar,
+    random_multivector,
     schouten_density,
     var_b,
     var_q,
 )
 
-from helpers import polynomials
+from varschouten.batteries import _DEGREE_PAIRS
+
+from helpers import G11, G22, naive_apply, polynomials, reference_inserted
 
 g = Geometry(1, 1, 4)
 
@@ -242,6 +246,50 @@ def test_recursion_agrees_with_density_route(pair):
     xi, eta = multivector(f), multivector(h)
     r = bracket_recursive(xi, eta)
     assert equivalent(r.representative, bracket_poisson(xi, eta).representative)
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_recursion_matches_eager_reference(geo):
+    """The path-weighted recursion against the node-by-node one, term for term."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1)]), st.data())
+    def run(pair, data):
+        k, l = pair
+        xi = Multivector(Functional(data.draw(polynomials(geo, degree=k))), k)
+        eta = Multivector(Functional(data.draw(polynomials(geo, degree=l))), l)
+        r = bracket_recursive(xi, eta)
+        assert r.inserted.density == reference_inserted(xi, eta, r.slots)
+
+    run()
+
+
+@pytest.mark.parametrize("k,l", _DEGREE_PAIRS)
+def test_recursion_matches_eager_reference_on_battery_pairs(k, l):
+    cfg = GeneratorConfig(seed=4, max_order=2)
+    for case in range(2):
+        xi = random_multivector(cfg, k, salt=f"ref:{case}:xi")
+        eta = random_multivector(cfg, l, salt=f"ref:{case}:eta")
+        r = bracket_recursive(xi, eta)
+        assert r.inserted.density == reference_inserted(xi, eta, r.slots)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_field_apply_matches_naive_sum(parity):
+    """Jets built from their prefixes equal jets transported from scratch (n = 2)."""
+    mixed = monomial(
+        G22, 1, even=[qvar(1, 1, 2), qvar(2, 2, 2)], odd=[bvar(1, 2, 2), bvar(2, 1, 2)]
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def run(data):
+        qs = tuple(data.draw(polynomials(G22, degree=parity)) for _ in range(G22.m))
+        bs = tuple(data.draw(polynomials(G22, degree=1 - parity)) for _ in range(G22.m))
+        f = data.draw(polynomials(G22)) + mixed
+        assert EvolutionaryField(qs, bs, parity).apply(f) == naive_apply(qs, bs, f)
+
+    run()
 
 
 # -- structure of the bracket -------------------------------------------------
