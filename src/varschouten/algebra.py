@@ -18,6 +18,9 @@ Everything downstream leans on the conventions fixed here:
   length-k word carries (-1)^(r-1); the right partial carries (-1)^(k-r).
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
+Public results carry Fraction coefficients; ints live only inside one cleared
+computation (_integral multiplies by the lcm of the denominators, the ring
+operations keep ints int, and scaled divides once and returns Fractions).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 QKIND, PKIND, BKIND = 0, 1, 2
@@ -279,7 +283,7 @@ class DiffPolynomial:
     """Graded differential polynomial: canonical monomials with Fraction coefficients."""
 
     geometry: Geometry
-    terms: dict  # Monomial -> Fraction, no zero values
+    terms: dict  # Monomial -> Fraction (int only inside a cleared computation), no zero values
 
     # -- construction -------------------------------------------------------
 
@@ -545,6 +549,13 @@ class DiffPolynomial:
                     piece = piece * rep
             result = result + piece
         return result
+
+
+def _integral(p: DiffPolynomial) -> tuple[DiffPolynomial, int]:
+    """(den * p, den) with den the lcm of p's denominators; den * p has int coefficients."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    return DiffPolynomial(p.geometry, terms), den
 
 
 def _jet(jets: dict, ix: MultiIndex) -> DiffPolynomial:

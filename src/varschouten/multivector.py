@@ -93,11 +93,17 @@ def iota(f: DiffPolynomial, slot: int) -> DiffPolynomial:
         return f
     if k < 1:
         raise DomainError("cannot insert a covector into a degree-0 density")
-    out = DiffPolynomial.zero(f.geometry)
+    return _iota_sum(f, slot, k).scaled(Fraction(1, k))
+
+
+def _iota_sum(f: DiffPolynomial, slot: int, k: int) -> DiffPolynomial:
+    """k * iota(f, slot) for f of b-degree k, accumulated in one term dict;
+    int coefficients stay int."""
+    out: dict = {}
     for j in range(1, k + 1):
-        piece = f.substitute_odd({j: slot})
-        out = out + (piece if (k - j) % 2 == 0 else -piece)
-    return out.scaled(Fraction(1, k))
+        for m, c in f.substitute_odd({j: slot}).terms.items():
+            _add_term(out, m, c if (k - j) % 2 == 0 else -c)
+    return DiffPolynomial(f.geometry, out)
 
 
 def insert(xi: Multivector, slot: int) -> Multivector:

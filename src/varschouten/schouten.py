@@ -13,9 +13,12 @@ Recursive route: the bracket is pinned down by its fully inserted values,
     [[xi,eta]](p) = l/(k+l-1) [[xi, eta(p)]] + (-1)^(l-1) k/(k+l-1) [[xi(p), eta]],
 
 bottoming out at [[H, phi]] = int d_phi(H) and [[phi, H]] = -int d_phi(H).
-The coefficients along each path of the recursion tree multiply into a path
-weight that is carried down to the leaves, so the inserted value is
-sum_leaves weight * leaf, accumulated in one term dict.
+With eta(p) = (1/l) * (unscaled insertion sum), every step weighs 1/(k+l-1),
+so every leaf weighs +-1/(k+l-1)!: the recursion carries only a sign down to
+the leaves, adds them into one term dict, and divides by (k+l-1)! once.
+
+Every route is multilinear, so it clears its arguments' denominators once
+(algebra._integral), computes and decides exactness in ints, and divides once.
 
 SIGN CONVENTION (load-bearing): applying an evolutionary field multiplies the
 transported section on the LEFT of the left partial derivative,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebra import (
     BKIND,
@@ -43,10 +47,11 @@ from .algebra import (
     JetVariable,
     MultiIndex,
     _add_term,
+    _integral,
     _jet,
     _mul_into,
 )
-from .multivector import Multivector, from_slots, iota
+from .multivector import Multivector, _iota_sum, from_slots
 from .variational import Functional, is_exact, var_b, var_q
 
 
@@ -161,8 +166,12 @@ def schouten_density(f: DiffPolynomial, g: DiffPolynomial) -> DiffPolynomial:
     return out
 
 
-def _report(density: DiffPolynomial, method: str, k: int, l: int, **extra) -> BracketReport:
+def _report(
+    density: DiffPolynomial, scale: Fraction, method: str, k: int, l: int, **extra
+) -> BracketReport:
+    """Decide the class of a cleared density and publish density * scale."""
     zero = is_exact(density)
+    density = density.scaled(scale)
     deg = None if zero else k + l - 1
     result = None if zero else Multivector(Functional(density), k + l - 1)
     return BracketReport(
@@ -176,13 +185,14 @@ def _report(density: DiffPolynomial, method: str, k: int, l: int, **extra) -> Br
 
 
 def bracket_poisson(xi: Multivector, eta: Multivector) -> BracketReport:
-    d = schouten_density(xi.density, eta.density)
-    return _report(d, "poisson", xi.degree, eta.degree)
+    (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
+    return _report(schouten_density(f, g), Fraction(1, df * dg), "poisson", xi.degree, eta.degree)
 
 
 def bracket_via_q(xi: Multivector, eta: Multivector) -> BracketReport:
-    d = q_field(xi).apply(eta.density)
-    return _report(d, "qfield", xi.degree, eta.degree)
+    (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
+    d = q_field(Multivector(Functional(f), xi.degree)).apply(g)
+    return _report(d, Fraction(1, df * dg), "qfield", xi.degree, eta.degree)
 
 
 def _section_of(onevec: DiffPolynomial) -> tuple[DiffPolynomial, ...]:
@@ -215,31 +225,30 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
 
 def _recursive_density(
     f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...],
-    weight: Fraction, out: dict,
+    sign: int, out: dict,
 ) -> None:
-    """Add weight * [[f, g]](slots) into the term dict out, for k + l >= 1.
+    """Add sign * (k+l-1)! * [[f, g]](slots) into the term dict out, for k + l >= 1.
 
-    Each step multiplies the path weight by l/(k+l-1) or (-1)^(l-1) k/(k+l-1)
-    and passes it down; only the leaves [[H, phi]] and [[phi, H]] build a
-    polynomial, so the inserted value is sum_leaves weight * leaf.
+    The step weight l/(k+l-1) or (-1)^(l-1) k/(k+l-1) times the insertion's
+    1/l or 1/k is +-1/(k+l-1) on every path, so the recursion inserts with the
+    unscaled _iota_sum and carries only the sign: (-1)^(l-1) on the k branch,
+    - at the [[phi, H]] leaf.  Int coefficients stay int.
     """
     if k + l == 1:
         if k == 0:
             leaf = _apply_q_sections(_section_of(g), f)
         else:
             leaf = _apply_q_sections(_section_of(f), g)
-            weight = -weight
+            sign = -sign
         for m, c in leaf.terms.items():
-            _add_term(out, m, c * weight)
+            _add_term(out, m, c if sign > 0 else -c)
         return
-    total = k + l - 1
     p = slots[-1]
     rest = slots[:-1]
     if l >= 1:
-        _recursive_density(f, k, iota(g, p), l - 1, rest, weight * Fraction(l, total), out)
+        _recursive_density(f, k, _iota_sum(g, p, l), l - 1, rest, sign, out)
     if k >= 1:
-        w = weight * Fraction(k, total)
-        _recursive_density(iota(f, p), k - 1, g, l, rest, w if (l - 1) % 2 == 0 else -w, out)
+        _recursive_density(_iota_sum(f, p, k), k - 1, g, l, rest, sign if l % 2 else -sign, out)
 
 
 def bracket_recursive(
@@ -255,7 +264,7 @@ def bracket_recursive(
     total = k + l - 1
     if total < 0:
         zero = DiffPolynomial.zero(geo)
-        return _report(zero, "recursive", k, l, inserted=Functional(zero), slots=())
+        return _report(zero, Fraction(1), "recursive", k, l, inserted=Functional(zero), slots=())
     if slots is None:
         used = xi.density.slots_used() | eta.density.slots_used()
         free = [j for j in range(1, geo.s + 1) if j not in used]
@@ -275,22 +284,14 @@ def bracket_recursive(
                 raise DomainError(f"slot {j} outside 1..{geo.s}")
             if j in used:
                 raise DomainError(f"slot {j} already occupied by an argument")
+    (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
     terms: dict = {}
-    _recursive_density(xi.density, k, eta.density, l, slots, Fraction(1), terms)
+    _recursive_density(f, k, g, l, slots, 1, terms)
     inserted = DiffPolynomial(geo, terms)
-    if total == 0:
-        return _report(inserted, "recursive", k, l, inserted=Functional(inserted), slots=())
-    rebuilt = from_slots(inserted, slots)
-    zero = is_exact(rebuilt.density)
-    return BracketReport(
-        representative=Functional(rebuilt.density),
-        method="recursive",
-        zero=zero,
-        degree=None if zero else total,
-        result=None if zero else rebuilt,
-        inserted=Functional(inserted),
-        slots=slots,
-    )
+    scale = Fraction(1, df * dg * factorial(total))
+    density = from_slots(inserted, slots).density if total else inserted
+    published = Functional(inserted.scaled(scale))
+    return _report(density, scale, "recursive", k, l, inserted=published, slots=slots)
 
 
 def jacobi_defect(
@@ -303,7 +304,7 @@ def jacobi_defect(
       + (-1)^((s-1)(t-1)) [[zeta,[[xi,eta]]]]
     """
     r, s, t = xi.degree, eta.degree, zeta.degree
-    f, g, h = xi.density, eta.density, zeta.density
+    (f, df), (g, dg), (h, dh) = (_integral(x.density) for x in (xi, eta, zeta))
     d1 = schouten_density(f, schouten_density(g, h))
     d2 = schouten_density(g, schouten_density(h, f))
     d3 = schouten_density(h, schouten_density(f, g))
@@ -313,17 +314,18 @@ def jacobi_defect(
         d2 = -d2
     if ((s - 1) * (t - 1)) % 2:
         d3 = -d3
-    return Functional(d1 + d2 + d3)
+    return Functional((d1 + d2 + d3).scaled(Fraction(1, df * dg * dh)))
 
 
 def is_poisson(p: Multivector) -> tuple[bool, Multivector | None]:
     """Certify [[P, P]] = 0 for a bivector; on failure return the witness 3-vector."""
     if p.degree != 2:
         raise DomainError("Poisson certification applies to bivectors")
-    w = schouten_density(p.density, p.density)
+    f, d = _integral(p.density)
+    w = schouten_density(f, f)
     if is_exact(w):
         return True, None
-    return False, Multivector(Functional(w), 3)
+    return False, Multivector(Functional(w.scaled(Fraction(1, d * d))), 3)
 
 
 def _default_probes(g: Geometry) -> list[DiffPolynomial]:

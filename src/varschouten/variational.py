@@ -30,6 +30,7 @@ from .algebra import (
     Monomial,
     MultiIndex,
     _add_term,
+    _integral,
 )
 
 
@@ -76,7 +77,9 @@ def var_p(f: DiffPolynomial, slot: int, fiber: int) -> DiffPolynomial:
 
 
 def is_exact(f: DiffPolynomial) -> bool:
-    """True iff f is a total divergence (plus a pure base-variable part)."""
+    """True iff f is a total divergence (plus a pure base-variable part);
+    decided on f with its denominators cleared, which keeps the verdict."""
+    f = _integral(f)[0]
     for kind, fiber, slot in sorted(f.families()):
         side = LEFT  # for odd families the right Euler operator is +-(left)
         if var_derivative(f, kind, fiber, slot, side):
@@ -157,13 +160,14 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
             _add_term(done, m, c)
         if not pending:
             break
-        shaved = DiffPolynomial.zero(g)
+        nxt = dict(pending)
         for m, c in pending.items():
             w = m.odd[0]
             dim = w.index.counts[0][0]
             lowered = Monomial(
                 m.base, m.even, (w._replace(index=w.index.minus(dim)),) + m.odd[1:]
             )
-            shaved = shaved + DiffPolynomial(g, {lowered: c}).total_derivative(dim)
-        work = DiffPolynomial(g, pending) - shaved
+            for mono, d in DiffPolynomial(g, {lowered: c}).total_derivative(dim).terms.items():
+                _add_term(nxt, mono, -d)
+        work = DiffPolynomial(g, nxt)
     return DiffPolynomial(g, done)

@@ -124,6 +124,13 @@ _COEFFS = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
 ).filter(bool)
 
+# denominators 7, 11 and 13, pairwise coprime and above _COEFFS' 3, so that
+# clearing a product of arguments needs a denominator no argument has alone;
+# 1 keeps some arguments integral
+COPRIME_COEFFS = st.builds(
+    Fraction, st.integers(-20, 20).filter(bool), st.sampled_from([1, 7, 11, 13])
+)
+
 
 def _index_pool(g: Geometry, max_order: int):
     if g.n == 1:
@@ -146,7 +153,7 @@ def variables(g: Geometry, kind: int, max_order: int = 2):
 
 
 @st.composite
-def polynomials(draw, g: Geometry = G11, degree=None, max_terms: int = 3):
+def polynomials(draw, g: Geometry = G11, degree=None, max_terms: int = 3, coeffs=_COEFFS):
     """Small random density; fixed b-degree when degree is given."""
     out = DiffPolynomial.zero(g)
     for _ in range(draw(st.integers(1, max_terms))):
@@ -158,7 +165,7 @@ def polynomials(draw, g: Geometry = G11, degree=None, max_terms: int = 3):
         odd = draw(
             st.lists(variables(g, BKIND), min_size=deg, max_size=deg, unique=True)
         )
-        out = out + monomial(g, draw(_COEFFS), base=base, even=even, odd=odd)
+        out = out + monomial(g, draw(coeffs), base=base, even=even, odd=odd)
     return out
 
 

@@ -29,6 +29,7 @@ from varschouten import (
     equivalent,
     evaluate,
     evolutionary_field,
+    from_slots,
     graded_commutator,
     iota,
     is_exact,
@@ -48,7 +49,7 @@ from varschouten import (
 
 from varschouten.batteries import _DEGREE_PAIRS
 
-from helpers import G11, G22, naive_apply, polynomials, reference_inserted
+from helpers import COPRIME_COEFFS, G11, G22, naive_apply, polynomials, reference_inserted
 
 g = Geometry(1, 1, 4)
 
@@ -288,6 +289,105 @@ def test_field_apply_matches_naive_sum(parity):
         bs = tuple(data.draw(polynomials(G22, degree=1 - parity)) for _ in range(G22.m))
         f = data.draw(polynomials(G22)) + mixed
         assert EvolutionaryField(qs, bs, parity).apply(f) == naive_apply(qs, bs, f)
+
+    run()
+
+
+# -- cleared integer coefficients ---------------------------------------------
+
+
+def fraction_coefficients(*polys) -> bool:
+    """An int coefficient leaking out would turn a user's c / 3 into a float."""
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+def public_densities(report) -> list:
+    out = [report.representative.density]
+    if report.inserted is not None:
+        out.append(report.inserted.density)
+    if report.result is not None:
+        out.append(report.result.density)
+    return out
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_cleared_routes_match_uncleared_formulas(geo):
+    """Arguments with denominators 7, 11 and 13: each route computes on
+    cleared ints and must divide back to the uncleared formula exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 2)]), st.data())
+    def run(pair, data):
+        k, l = pair
+        f = data.draw(polynomials(geo, degree=k, coeffs=COPRIME_COEFFS))
+        h = data.draw(polynomials(geo, degree=l, coeffs=COPRIME_COEFFS))
+        xi, eta = Multivector(Functional(f), k), Multivector(Functional(h), l)
+        density = schouten_density(f, h)
+        poisson = bracket_poisson(xi, eta)
+        assert poisson.representative.density == density
+        assert poisson.zero == is_exact(density)
+        field = bracket_via_q(xi, eta)
+        assert field.representative.density == q_field(xi).apply(h)
+        rec = bracket_recursive(xi, eta)
+        inserted = reference_inserted(xi, eta, rec.slots)
+        assert rec.inserted.density == inserted
+        rebuilt = from_slots(inserted, rec.slots).density if rec.slots else inserted
+        assert rec.representative.density == rebuilt
+        assert rec.zero == poisson.zero == field.zero
+        for report in (poisson, field, rec):
+            assert fraction_coefficients(*public_densities(report))
+        if k:
+            assert fraction_coefficients(iota(f, 1))
+
+    run()
+
+
+def test_integer_arguments_still_publish_fractions():
+    """Arguments that need no clearing: the division by one must still happen."""
+    xi, eta = mv(*TRANSLATION), mv(*THIRD_ORDER)
+    for report in (
+        bracket_poisson(xi, eta), bracket_via_q(xi, eta), bracket_recursive(xi, eta),
+        bracket_recursive(mv((1, [], [qvar(1)], [])), mv((1, [], [qvar(1, 1)], [bvar(1)]))),
+    ):
+        assert report.representative.density
+        assert fraction_coefficients(*public_densities(report))
+    ok, witness = is_poisson(mv((1, [], [qvar(1, 1)], [bvar(1), bvar(1, 1)])))
+    assert not ok and fraction_coefficients(witness.density)
+    defect = jacobi_defect(mv(*KDV), xi, eta)
+    assert defect.density and fraction_coefficients(defect.density)
+
+
+def jacobi_composition(f, r, g, s, h, t) -> DiffPolynomial:
+    out = DiffPolynomial.zero(f.geometry)
+    for e, a, b, c in (((r - 1) * (t - 1), f, g, h), ((r - 1) * (s - 1), g, h, f),
+                       ((s - 1) * (t - 1), h, f, g)):
+        piece = schouten_density(a, schouten_density(b, c))
+        out = out + (-piece if e % 2 else piece)
+    return out
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_cleared_poisson_witness_and_jacobi_match_compositions(geo):
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(2, 1, 1), (1, 2, 1), (1, 1, 2)]), st.data())
+    def run(degrees, data):
+        f, g, h = (
+            data.draw(polynomials(geo, degree=d, max_terms=2, coeffs=COPRIME_COEFFS))
+            for d in degrees
+        )
+        r, s, t = degrees
+        defect = jacobi_defect(
+            Multivector(Functional(f), r), Multivector(Functional(g), s), Multivector(Functional(h), t)
+        )
+        assert defect.density == jacobi_composition(f, r, g, s, h, t)
+        assert fraction_coefficients(defect.density)
+        bivector = next(p for p, d in zip((f, g, h), degrees) if d == 2)
+        square = schouten_density(bivector, bivector)
+        ok, witness = is_poisson(Multivector(Functional(bivector), 2))
+        assert ok == is_exact(square)
+        if not ok:
+            assert witness.density == square
+            assert fraction_coefficients(witness.density)
 
     run()
 

@@ -209,3 +209,29 @@ def test_session_file_parse_error_is_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "degree", "--file", str(bad), "q*b")
     assert code == 2
     assert err == "parse error: line 2, col 12: unexpected end of input\n"
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    """No flag, error or session of one main() call may leak into the next."""
+    plain = "degree 2\n12*x*b_x*b + 6*x^2*b_xx*b + 2*x^3*b_xxx*b\n"
+    latex = "degree 2\n12\\,x\\,b_{x}\\,b + 6\\,x^{2}\\,b_{xx}\\,b + 2\\,x^{3}\\,b_{xxx}\\,b\n"
+    assert run_cli(capsys, "bracket", "--latex", "b*b_x", "b*x^3*q_xx") == (0, latex, "")
+    assert run_cli(capsys, "bracket", "b*b_x", "b*x^3*q_xx") == (0, plain, "")
+    assert run_cli(capsys, "bracket", "b*b_xz", "b") == (
+        2, "", "parse error: line 1, col 3: bad derivative suffix 'xz'; expected 'x' letters\n"
+    )
+    assert run_cli(capsys, "bracket", "b*b_x", "b*x^3*q_xx") == (0, plain, "")
+    with pytest.raises(SystemExit):
+        main(["bracket", "b*b_x"])
+    capsys.readouterr()
+    assert run_cli(capsys, "degree", "b*b_x") == (0, "degree 2\nclass nonzero\n", "")
+    session = tmp_path / "worked.session"
+    session.write_text("geometry 1 1 4\nlet xi = b*b_x\nlet eta = b*x^3*q_xx\n")
+    assert run_cli(capsys, "bracket", "--file", str(session), "xi", "eta") == (0, plain, "")
+    assert run_cli(capsys, "bracket", "xi", "eta") == (
+        2, "", "parse error: line 1, col 1: unknown name 'xi'\n"
+    )
+    assert run_cli(capsys, "degree", "--geometry", "2,2,3", "b1*b2_x1")[:2] == (
+        0, "degree 2\nclass nonzero\n"
+    )
+    assert run_cli(capsys, "insert", "b*b_x", "1") == (0, "1/2*p1_x*b - 1/2*p1*b_x\n", "")

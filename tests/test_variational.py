@@ -39,7 +39,7 @@ from varschouten import (
     var_q,
 )
 
-from helpers import G11, G22, polynomials
+from helpers import COPRIME_COEFFS, G11, G22, polynomials
 
 g = Geometry(1, 1, 2)
 
@@ -199,12 +199,42 @@ def test_normalization_requires_positive_degree():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda k: polynomials(G11, degree=k)))
+@given(
+    st.sampled_from([G11, G22]).flatmap(
+        lambda geo: st.integers(1, 3).flatmap(lambda k: polynomials(geo, degree=k))
+    )
+)
 def test_normalization_preserves_class_and_strips_leading_orders(f):
     out = normalize_to_bA_form(f)
     assert equivalent(out, f)
     for m in out.terms:
         assert m.odd[0].index.order == 0
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_exactness_of_cleared_densities(geo):
+    """is_exact clears denominators before its Euler operators: the verdict
+    must match the naive operator on the uncleared density and must not
+    change under scaling, on exact and non-exact densities alike."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        polynomials(geo, coeffs=COPRIME_COEFFS),
+        polynomials(geo, coeffs=COPRIME_COEFFS),
+        COPRIME_COEFFS,
+        st.integers(1, geo.n),
+    )
+    def run(f, h, c, dim):
+        for density in (f, f + h.total_derivative(dim), h.total_derivative(dim)):
+            exact = is_exact(density)
+            assert exact == is_exact(density.scaled(c))
+            assert exact == all(
+                naive_var(density, kind, fiber, slot).is_zero
+                for kind, fiber, slot in density.families()
+            )
+        assert is_exact(h.total_derivative(dim).scaled(c))
+
+    run()
 
 
 # -- interaction of insertion with the variational derivatives -----------
