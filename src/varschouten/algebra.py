@@ -101,12 +101,6 @@ class MultiIndex(NamedTuple):
             raise DomainError(f"multi-index has no derivative in dimension {dim}")
         return MultiIndex.from_row(row[: dim - 1] + (row[dim - 1] - 1,) + row[dim:])
 
-    def dims(self) -> Iterator[int]:
-        """Each dimension repeated by its count, ascending."""
-        for d, c in enumerate(self.row, 1):
-            for _ in range(c):
-                yield d
-
 
 def midx(*dims: int) -> MultiIndex:
     """Multi-index from repeated dimension numbers: midx(1,1,2) = d/dx1 d/dx1 d/dx2."""
@@ -171,8 +165,8 @@ def _add_term(out: dict, mono, c) -> None:
             del out[mono]
 
 
-def _sort_word(word: list[JetVariable]) -> tuple[int, tuple[JetVariable, ...]]:
-    """Insertion-sort an odd word, returning (sign, sorted word); sign 0 on a repeat."""
+def _sort_word(word: list) -> tuple[int, tuple]:
+    """Insertion-sort a list, returning (sign of the sort, sorted tuple); sign 0 on a repeat."""
     sign = 1
     for i in range(1, len(word)):
         j = i
@@ -444,12 +438,6 @@ class DiffPolynomial:
                 if sign:
                     _add_term(out, Monomial(m.base, m.even, sorted_word), c if sign > 0 else -c)
         return DiffPolynomial(g, out)
-
-    def total_derivative_multi(self, sigma: MultiIndex) -> "DiffPolynomial":
-        out = self
-        for d in sigma.dims():
-            out = out.total_derivative(d)
-        return out
 
     # -- queries used by the variational layer --------------------------------
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RIGHT, DiffPolynomial, bvar, monomial, pvar, qvar
+from .algebra import DiffPolynomial, bvar, monomial, pvar, qvar
 from .multivector import Multivector, evaluate, iota, multivector
 from .printing import format_polynomial
 from .randgen import GeneratorConfig, random_density, random_multivector
@@ -28,7 +28,7 @@ from .schouten import (
     q_field,
     schouten_density,
 )
-from .variational import equivalent, is_exact, var_b, var_q
+from .variational import Functional, equivalent, is_exact, var_q
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,8 @@ def battery_jacobi(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:
 def _bracket_field(xi: Multivector, eta: Multivector) -> EvolutionaryField:
     """Q of the bracket, built from any representative; sections are
     variational derivatives, so the choice of representative drops out."""
-    g = xi.geometry
     d = schouten_density(xi.density, eta.density)
-    return EvolutionaryField(
-        tuple(-var_b(d, a, RIGHT) for a in range(1, g.m + 1)),
-        tuple(var_q(d, a) for a in range(1, g.m + 1)),
-        (xi.degree + eta.degree) % 2,
-    )
+    return q_field(Multivector(Functional(d), xi.degree + eta.degree - 1))
 
 
 def battery_commutator(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:

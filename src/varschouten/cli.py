@@ -21,6 +21,9 @@ from .schouten import bracket_poisson, bracket_recursive, is_poisson, jacobi_def
 from .session import Session, load_session
 from .variational import equivalent, is_exact, normalize_to_bA_form
 
+# the default 25 selftest cases take seconds, so this cap bounds a run at minutes
+_MAX_SELFTEST_CASES = 1000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -212,6 +215,8 @@ def _cmd_qfield(args, session) -> int:
 
 
 def _cmd_selftest(args, session) -> int:
+    if not 1 <= args.cases <= _MAX_SELFTEST_CASES:
+        raise DomainError(f"--cases must be in 1..{_MAX_SELFTEST_CASES}, got {args.cases}")
     cfg = GeneratorConfig(geometry=session.geometry, seed=args.seed)
     reports = run_all(cfg, cases=args.cases)
     failed = 0

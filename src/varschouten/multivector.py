@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .algebra import (
     BKIND,
@@ -128,18 +129,13 @@ def evaluate(xi: Multivector, slots: list[int] | tuple[int, ...]) -> Functional:
             raise DomainError(f"slot {slot} already used in the multivector")
     if k == 0:
         return xi.functional
-    g = xi.geometry
-    out = DiffPolynomial.zero(g)
+    out: dict = {}
     for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        piece = xi.density.substitute_odd(
-            {i + 1: slots[perm[i]] for i in range(k)}
-        )
-        out = out + (piece if sign > 0 else -piece)
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    return Functional(out.scaled(Fraction(1, fact)))
+        sign, _ = _sort_word(list(perm))
+        piece = xi.density.substitute_odd({i + 1: slots[perm[i]] for i in range(k)})
+        for m, c in piece.terms.items():
+            _add_term(out, m, c if sign > 0 else -c)
+    return Functional(DiffPolynomial(xi.geometry, out).scaled(Fraction(1, factorial(k))))
 
 
 def evaluate_by_insertion(xi: Multivector, slots) -> Functional:
@@ -150,15 +146,6 @@ def evaluate_by_insertion(xi: Multivector, slots) -> Functional:
     if cur.degree != 0:
         raise DomainError("slot list did not exhaust the multivector arguments")
     return cur.functional
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def extract_operator(xi: Multivector) -> tuple[DiffPolynomial, ...]:

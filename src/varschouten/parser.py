@@ -4,8 +4,9 @@ Grammar, in words: an expression is a signed sum of terms; a term is a
 product of factors joined by `*` (juxtaposition is rejected so derivative
 suffixes like `b_x1x2` stay unambiguous); a factor is a rational literal,
 a variable token, a bound name, or a parenthesized expression, optionally
-raised to a nonnegative integer power with `^`.  Exponents above 64 and
-parentheses nested more than 100 deep are parse errors.
+raised to a nonnegative integer power with `^`.  Exponents above 64,
+parentheses nested more than 100 deep and more than 63 derivatives in one
+base dimension of a jet token are parse errors.
 
 Variable tokens:
     x           the base variable (n = 1), or x1..xn for n > 1
@@ -64,9 +65,11 @@ _KINDS = {"q": QKIND, "b": BKIND}
 
 # Fixed limits on hostile input.  Each level of parentheses costs four
 # interpreter frames, so 100 levels stay far below the recursion limit; the
-# exponent cap keeps `q^99999999999` from multiplying without end.
+# exponent cap keeps `q^99999999999` from multiplying without end; a jet
+# order per base dimension fits in six bits.
 _MAX_NESTING = 100
 _MAX_EXPONENT = 64
+_MAX_JET_ORDER = 63
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -267,6 +270,8 @@ class _ExprParser:
         if dims is None:
             expected = "'x' letters" if self.g.n == 1 else "pairs like x1x1x2"
             self._err(f"bad derivative suffix {suffix!r}; expected {expected}", tok.pos)
+        if any(dims.count(d) > _MAX_JET_ORDER for d in set(dims)):
+            self._err(f"more than {_MAX_JET_ORDER} derivatives in one base dimension", tok.pos)
         return dims
 
 

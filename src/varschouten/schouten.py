@@ -17,6 +17,9 @@ With eta(p) = (1/l) * (unscaled insertion sum), every step weighs 1/(k+l-1),
 so every leaf weighs +-1/(k+l-1)!: the recursion carries only a sign down to
 the leaves, adds them into one term dict, and divides by (k+l-1)! once.
 
+One application loop, _apply_into, serves the field route, the base case and
+the recursion's leaves, which fold their sign into the sections.
+
 Every route is multilinear, so it clears its arguments' denominators once
 (algebra._integral), computes and decides exactness in ints, and divides once.
 
@@ -80,26 +83,27 @@ class EvolutionaryField:
                     raise DomainError("b-section parity disagrees with field parity")
 
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
-        """Transported sections, multiplied on the left of the left partials.
-
-        Each section's jets D_sigma(sec) are built once per call, each from a
-        shorter one, and every product is accumulated into one term dict.
-        """
-        g = f.geometry
+        """Transported sections, multiplied on the left of the left partials."""
         out: dict = {}
-        for kind, sections in ((QKIND, self.q_sections), (BKIND, self.b_sections)):
-            for alpha in range(1, g.m + 1):
-                sec = sections[alpha - 1]
-                if sec.is_zero:
-                    continue
-                f._same_geometry(sec)
-                jets = {MultiIndex(): sec}
-                for ix in f.family_indices(kind, alpha):
-                    part = f.partial(JetVariable(kind, alpha, ix), LEFT)
-                    if part.is_zero:
-                        continue
-                    _mul_into(out, _jet(jets, ix).terms, part.terms)
-        return DiffPolynomial(g, out)
+        _apply_into(out, QKIND, self.q_sections, f)
+        _apply_into(out, BKIND, self.b_sections, f)
+        return DiffPolynomial(f.geometry, out)
+
+
+def _apply_into(out: dict, kind: int, sections, f: DiffPolynomial) -> None:
+    """Add sum_{alpha,sigma} D_sigma(sections[alpha-1]) * d^l f / d kind^alpha_sigma
+    into the term dict out; each jet D_sigma(sec) is built once, from a shorter one.
+    """
+    for alpha, sec in enumerate(sections, 1):
+        if sec.is_zero:
+            continue
+        f._same_geometry(sec)
+        jets = {MultiIndex(): sec}
+        for ix in f.family_indices(kind, alpha):
+            part = f.partial(JetVariable(kind, alpha, ix), LEFT)
+            if part.is_zero:
+                continue
+            _mul_into(out, _jet(jets, ix).terms, part.terms)
 
 
 def evolutionary_field(
@@ -159,11 +163,11 @@ def schouten_density(f: DiffPolynomial, g: DiffPolynomial) -> DiffPolynomial:
     if f.geometry != g.geometry:
         raise DomainError("bracket arguments live over different geometries")
     geo = f.geometry
-    out = DiffPolynomial.zero(geo)
+    out: dict = {}
     for alpha in range(1, geo.m + 1):
-        out = out + var_q(f, alpha) * var_b(g, alpha, LEFT)
-        out = out - var_b(f, alpha, RIGHT) * var_q(g, alpha)
-    return out
+        _mul_into(out, var_q(f, alpha).terms, var_b(g, alpha, LEFT).terms)
+        _mul_into(out, (-var_b(f, alpha, RIGHT)).terms, var_q(g, alpha).terms)
+    return DiffPolynomial(geo, out)
 
 
 def _report(
@@ -200,27 +204,13 @@ def _section_of(onevec: DiffPolynomial) -> tuple[DiffPolynomial, ...]:
     return tuple(var_b(onevec, a, LEFT) for a in range(1, g.m + 1))
 
 
-def _apply_q_sections(sections, f: DiffPolynomial) -> DiffPolynomial:
-    g = f.geometry
-    field = EvolutionaryField(
-        tuple(sections), (DiffPolynomial.zero(g),) * g.m, _sections_parity(sections)
-    )
-    return field.apply(f)
-
-
-def _sections_parity(sections) -> int:
-    for sec in sections:
-        for m in sec.terms:
-            return m.b_degree % 2
-    return 0
-
-
 def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
     """[[H, phi]] = int d_phi(H) for a 0-vector H and a 1-vector phi."""
     if h.degree != 0 or phi.degree != 1:
         raise DomainError("base case takes a 0-vector and a 1-vector, in that order")
-    d = _apply_q_sections(_section_of(phi.density), h.density)
-    return Multivector(Functional(d), 0)
+    out: dict = {}
+    _apply_into(out, QKIND, _section_of(phi.density), h.density)
+    return Multivector(Functional(DiffPolynomial(h.geometry, out)), 0)
 
 
 def _recursive_density(
@@ -235,13 +225,8 @@ def _recursive_density(
     - at the [[phi, H]] leaf.  Int coefficients stay int.
     """
     if k + l == 1:
-        if k == 0:
-            leaf = _apply_q_sections(_section_of(g), f)
-        else:
-            leaf = _apply_q_sections(_section_of(f), g)
-            sign = -sign
-        for m, c in leaf.terms.items():
-            _add_term(out, m, c if sign > 0 else -c)
+        phi, h, sign = (g, f, sign) if k == 0 else (f, g, -sign)
+        _apply_into(out, QKIND, [sec if sign > 0 else -sec for sec in _section_of(phi)], h)
         return
     p = slots[-1]
     rest = slots[:-1]
@@ -305,16 +290,12 @@ def jacobi_defect(
     """
     r, s, t = xi.degree, eta.degree, zeta.degree
     (f, df), (g, dg), (h, dh) = (_integral(x.density) for x in (xi, eta, zeta))
-    d1 = schouten_density(f, schouten_density(g, h))
-    d2 = schouten_density(g, schouten_density(h, f))
-    d3 = schouten_density(h, schouten_density(f, g))
-    if ((r - 1) * (t - 1)) % 2:
-        d1 = -d1
-    if ((r - 1) * (s - 1)) % 2:
-        d2 = -d2
-    if ((s - 1) * (t - 1)) % 2:
-        d3 = -d3
-    return Functional((d1 + d2 + d3).scaled(Fraction(1, df * dg * dh)))
+    out: dict = {}
+    for e, a, b, c in (((r - 1) * (t - 1), f, g, h), ((r - 1) * (s - 1), g, h, f),
+                       ((s - 1) * (t - 1), h, f, g)):
+        for m, v in schouten_density(a, schouten_density(b, c)).terms.items():
+            _add_term(out, m, -v if e % 2 else v)
+    return Functional(DiffPolynomial(f.geometry, out).scaled(Fraction(1, df * dg * dh)))
 
 
 def is_poisson(p: Multivector) -> tuple[bool, Multivector | None]:

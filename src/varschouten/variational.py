@@ -134,7 +134,8 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
     carries a derivative: with w = D_i(w'), subtract the total derivative of
     the monomial with w replaced by w'.  Since w is the strict minimum of the
     word, w' is fresh, and every surviving monomial's leading-factor order
-    drops by one, so the loop terminates.
+    drops by one, so the loop terminates.  The loop is linear, so it runs on
+    the cleared int coefficients and divides once at the end.
     """
     work = f.density if isinstance(f, Functional) else f
     g = work.geometry
@@ -143,7 +144,8 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
         return work
     if deg < 1:
         raise DomainError("bA-form normalization needs b-degree at least 1")
-    done: dict[Monomial, Fraction] = {}
+    work, den = _integral(work)
+    done: dict[Monomial, int] = {}
     guard = work.max_order() + 2
     while work.terms:
         guard -= 1
@@ -170,4 +172,4 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
             for mono, d in DiffPolynomial(g, {lowered: c}).total_derivative(dim).terms.items():
                 _add_term(nxt, mono, -d)
         work = DiffPolynomial(g, nxt)
-    return DiffPolynomial(g, done)
+    return DiffPolynomial(g, done).scaled(Fraction(1, den))

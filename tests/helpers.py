@@ -26,6 +26,7 @@ from varschouten import (
     DiffPolynomial,
     Geometry,
     JetVariable,
+    MultiIndex,
     QKIND,
     bvar,
     iota,
@@ -189,6 +190,20 @@ def assert_models_agree(f: DiffPolynomial, model: BladeModel, expected: dict):
 # ------------------------------------------------------- reference recursion
 
 
+def dims(sigma: MultiIndex):
+    """Each dimension of sigma repeated by its count, ascending."""
+    for d, c in enumerate(sigma.row, 1):
+        for _ in range(c):
+            yield d
+
+
+def total_derivative_multi(f: DiffPolynomial, sigma: MultiIndex) -> DiffPolynomial:
+    """D_sigma(f), one total derivative at a time, from scratch."""
+    for d in dims(sigma):
+        f = f.total_derivative(d)
+    return f
+
+
 def naive_apply(q_sections, b_sections, f: DiffPolynomial) -> DiffPolynomial:
     """sum over kind, alpha, sigma of D_sigma(section) * (left partial of f)."""
     out = DiffPolynomial.zero(f.geometry)
@@ -196,7 +211,7 @@ def naive_apply(q_sections, b_sections, f: DiffPolynomial) -> DiffPolynomial:
         for alpha, sec in enumerate(sections, 1):
             for ix in f.family_indices(kind, alpha):
                 part = f.partial(JetVariable(kind, alpha, ix), LEFT)
-                out = out + sec.total_derivative_multi(ix) * part
+                out = out + total_derivative_multi(sec, ix) * part
     return out
 
 

@@ -122,6 +122,10 @@ def test_bound_names_substitute_polynomials():
             "(" * 3000 + "q" + ")" * 3000, "nested deeper than 100", 1, 101, id="deep-nesting"
         ),
         ("q^99999999999", "exponent 99999999999 exceeds the limit 64", 1, 3),
+        pytest.param(
+            "q_" + "x" * 63 + "*b_" + "x" * 64,
+            "more than 63 derivatives in one base dimension", 1, 67, id="jet-order",
+        ),
     ],
 )
 def test_error_positions(text, fragment, line, col):

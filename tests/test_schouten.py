@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varschouten import (
+    LEFT,
     RIGHT,
     DiffPolynomial,
     DomainError,
@@ -289,6 +290,37 @@ def test_field_apply_matches_naive_sum(parity):
         bs = tuple(data.draw(polynomials(G22, degree=1 - parity)) for _ in range(G22.m))
         f = data.draw(polynomials(G22)) + mixed
         assert EvolutionaryField(qs, bs, parity).apply(f) == naive_apply(qs, bs, f)
+
+    run()
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_schouten_density_matches_per_fiber_formula(geo):
+    """Term for term against the density formula written with *, + and -."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2)]), st.data())
+    def run(pair, data):
+        k, l = pair
+        f = data.draw(polynomials(geo, degree=k))
+        h = data.draw(polynomials(geo, degree=l))
+        expected = DiffPolynomial.zero(geo)
+        for a in range(1, geo.m + 1):
+            expected = expected + var_q(f, a) * var_b(h, a, LEFT)
+            expected = expected - var_b(f, a, RIGHT) * var_q(h, a)
+        assert schouten_density(f, h) == expected
+
+    run()
+
+
+def test_base_case_matches_naive_field_on_two_fibers():
+    @settings(max_examples=20, deadline=None)
+    @given(polynomials(G22, degree=0), polynomials(G22, degree=1))
+    def run(h, phi):
+        sections = [var_b(phi, a, LEFT) for a in range(1, G22.m + 1)]
+        zeros = [DiffPolynomial.zero(G22)] * G22.m
+        base = bracket_base_case(Multivector(Functional(h), 0), Multivector(Functional(phi), 1))
+        assert base.density == naive_apply(sections, zeros, h)
 
     run()
 

@@ -152,6 +152,13 @@ def test_selftest_command(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("cases", ["-3", "0", "1001"])
+def test_selftest_case_count_is_bounded(capsys, cases):
+    code, out, err = run_cli(capsys, "selftest", "--cases", cases)
+    assert (code, out) == (3, "")
+    assert err == f"error: --cases must be in 1..1000, got {cases}\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bracket", "b*b_xz", "b")
     assert code == 2

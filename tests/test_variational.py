@@ -212,6 +212,22 @@ def test_normalization_preserves_class_and_strips_leading_orders(f):
 
 
 @pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
+def test_normalization_commutes_with_scaling(geo):
+    """The loop runs on cleared ints and divides once: the result scales
+    exactly with the input and publishes Fractions only."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2), COPRIME_COEFFS, st.data())
+    def run(k, c, data):
+        f = data.draw(polynomials(geo, degree=k, coeffs=COPRIME_COEFFS))
+        out = normalize_to_bA_form(f)
+        assert normalize_to_bA_form(f.scaled(c)) == out.scaled(c)
+        assert all(type(v) is Fraction for v in out.terms.values())
+
+    run()
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
 def test_exactness_of_cleared_densities(geo):
     """is_exact clears denominators before its Euler operators: the verdict
     must match the naive operator on the uncleared density and must not
