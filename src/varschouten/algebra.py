@@ -16,6 +16,9 @@ Everything downstream leans on the conventions fixed here:
   row, so the order is stable under adding base dimensions.
 * Left partial with respect to an odd factor at 1-based position r of a
   length-k word carries (-1)^(r-1); the right partial carries (-1)^(k-r).
+  _gradient is the one home of these signs: it is the only code that
+  differentiates a monomial by a jet variable, and partial, the Euler
+  operator and the field action all read their partials from it.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -26,7 +29,7 @@ operations keep ints int, and scaled divides once and returns Fractions).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -258,6 +261,26 @@ def _mul_into(out: dict, left: dict, right: dict) -> None:
                 _add_term(out, mono, c1 * c2 if sign > 0 else -(c1 * c2))
 
 
+def _gradient(terms: dict, side: str = LEFT) -> dict:
+    """Every nonzero partial derivative of a term dict, as {JetVariable: term dict}.
+
+    One scan differentiates each monomial by each of its factors: even ones by
+    the power rule, odd ones with the left or right sign of the module docstring.
+    A monomial is fixed by its partial and the variable, so nothing cancels.
+    """
+    grad: dict = {}
+    for m, c in terms.items():
+        base, even, odd = m
+        for t, (v, e) in enumerate(even):
+            rest = Monomial(base, even[:t] + (((v, e - 1),) if e > 1 else ()) + even[t + 1 :], odd)
+            grad.setdefault(v, {})[rest] = c * e if e > 1 else c
+        for i, v in enumerate(odd):
+            flips = i if side == LEFT else len(odd) - 1 - i
+            rest = Monomial(base, even, odd[:i] + odd[i + 1 :])
+            grad.setdefault(v, {})[rest] = -c if flips % 2 else c
+    return grad
+
+
 def _check_var(v: JetVariable, g: Geometry) -> None:
     if not 1 <= v.fiber <= g.m:
         raise DomainError(f"fiber index {v.fiber} outside geometry bounds (m={g.m})")
@@ -383,37 +406,10 @@ class DiffPolynomial:
     # -- derivatives ---------------------------------------------------------
 
     def partial(self, v: JetVariable, side: str = LEFT) -> "DiffPolynomial":
-        """Graded partial derivative with respect to a jet variable.
-
-        Even variables: ordinary rule, left and right coincide.  Odd variable
-        at 1-based position r of a k-letter word: left picks up (-1)^(r-1),
-        right picks up (-1)^(k-r).
-        """
+        """Graded partial derivative with respect to a jet variable; left and right
+        coincide for even variables, odd ones take the signs of the module docstring."""
         _check_var(v, self.geometry)
-        out: dict[Monomial, Fraction] = {}
-        odd = v.kind == BKIND
-        for m, c in self.terms.items():
-            if odd:
-                try:
-                    i = m.odd.index(v)
-                except ValueError:
-                    continue
-                k = len(m.odd)
-                exp = i if side == LEFT else k - 1 - i
-                coeff = c if exp % 2 == 0 else -c
-                mono = Monomial(m.base, m.even, m.odd[:i] + m.odd[i + 1 :])
-            else:
-                coeff = None
-                for t, (u, e) in enumerate(m.even):
-                    if u == v:
-                        coeff = c * e
-                        rest = m.even[:t] + (((u, e - 1),) if e > 1 else ()) + m.even[t + 1 :]
-                        mono = Monomial(m.base, rest, m.odd)
-                        break
-                if coeff is None:
-                    continue
-            _add_term(out, mono, coeff)
-        return DiffPolynomial(self.geometry, out)
+        return DiffPolynomial(self.geometry, _gradient(self.terms, side).get(v, {}))
 
     def total_derivative(self, dim: int) -> "DiffPolynomial":
         """Total derivative D_dim: Leibniz over base powers and all jet factors."""
@@ -452,15 +448,6 @@ class DiffPolynomial:
                 if v not in seen:
                     seen.add(v)
                     yield v
-
-    def family_indices(self, kind: int, fiber: int, slot: int = 0) -> list[MultiIndex]:
-        return sorted(
-            {
-                v.index
-                for v in self.jet_variables()
-                if v.kind == kind and v.fiber == fiber and v.slot == slot
-            }
-        )
 
     def families(self) -> set[tuple[int, int, int]]:
         """(kind, fiber, slot) triples present in the polynomial."""
@@ -521,22 +508,23 @@ class DiffPolynomial:
             if any(m.b_degree % 2 for m in sec.terms):
                 raise DomainError("slot substitution needs even sections")
         jets = [{MultiIndex(): sec} for sec in sections]
-        result = DiffPolynomial.zero(g)
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             kept: list = []
-            factors: list[tuple[int, MultiIndex, int]] = []
+            reps: list[dict] = []
             for v, e in m.even:
                 if v.kind == PKIND and v.slot == slot:
-                    factors.append((v.fiber, v.index, e))
+                    reps.extend([_jet(jets[v.fiber - 1], v.index).terms] * e)
                 else:
                     kept.append((v, e))
-            piece = DiffPolynomial(g, {Monomial(m.base, tuple(kept), m.odd): c})
-            for fiber, ix, e in factors:
-                rep = _jet(jets[fiber - 1], ix)
-                for _ in range(e):
-                    piece = piece * rep
-            result = result + piece
-        return result
+            piece = {Monomial(m.base, tuple(kept), m.odd): c}
+            for rep in reps:
+                product: dict = {}
+                _mul_into(product, piece, rep)
+                piece = product
+            for mono, d in piece.items():
+                _add_term(out, mono, d)
+        return DiffPolynomial(g, out)
 
 
 def _integral(p: DiffPolynomial) -> tuple[DiffPolynomial, int]:

@@ -81,8 +81,28 @@ def _admissible_pairs(cfg: GeneratorConfig):
     ]
 
 
+def _definitions_disagree(xi: Multivector, eta: Multivector) -> str | None:
+    """Why the three bracket routes disagree on (xi, eta), or None when they agree."""
+    a = bracket_poisson(xi, eta)
+    b = bracket_via_q(xi, eta)
+    if not equivalent(a.representative, b.representative):
+        return "density formula and field route disagree"
+    r = bracket_recursive(xi, eta)
+    if not a.zero == b.zero == r.zero:
+        return "zero-class verdicts disagree"
+    if not equivalent(a.representative, r.representative):
+        return "recursion's rebuilt bracket disagrees with the density formula"
+    inserted = a.representative.density
+    for slot in reversed(r.slots):
+        inserted = iota(inserted, slot)
+    if not equivalent(inserted, r.inserted.density):
+        return "recursion disagrees with inserted density formula"
+    return None
+
+
 def battery_definitions_agree(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:
-    """Density formula vs evolutionary field vs fully inserted recursion."""
+    """Density formula vs evolutionary field vs fully inserted recursion: the
+    three representatives, the three zero verdicts and the inserted values."""
     start = time.perf_counter()
     failures = []
     pairs = _admissible_pairs(cfg)
@@ -90,27 +110,12 @@ def battery_definitions_agree(cfg: GeneratorConfig, cases: int = 50) -> BatteryR
         k, l = pairs[case % len(pairs)]
         xi = random_multivector(cfg, k, salt=f"defs:{case}:xi")
         eta = random_multivector(cfg, l, salt=f"defs:{case}:eta")
-        a = bracket_poisson(xi, eta)
-        b = bracket_via_q(xi, eta)
-        if not equivalent(a.representative, b.representative):
+        detail = _definitions_disagree(xi, eta)
+        if detail is not None:
             failures.append(
                 FailureRecord(
                     "definitions-agree", case, cfg.seed,
-                    _printed(xi.density, eta.density),
-                    "density formula and field route disagree",
-                )
-            )
-            continue
-        r = bracket_recursive(xi, eta)
-        inserted = a.representative.density
-        for slot in reversed(r.slots):
-            inserted = iota(inserted, slot)
-        if not equivalent(inserted, r.inserted.density):
-            failures.append(
-                FailureRecord(
-                    "definitions-agree", case, cfg.seed,
-                    _printed(xi.density, eta.density),
-                    "recursion disagrees with inserted density formula",
+                    _printed(xi.density, eta.density), detail,
                 )
             )
     return BatteryReport(

@@ -5,8 +5,9 @@ product of factors joined by `*` (juxtaposition is rejected so derivative
 suffixes like `b_x1x2` stay unambiguous); a factor is a rational literal,
 a variable token, a bound name, or a parenthesized expression, optionally
 raised to a nonnegative integer power with `^`.  Exponents above 64,
-parentheses nested more than 100 deep and more than 63 derivatives in one
-base dimension of a jet token are parse errors.
+parentheses nested more than 100 deep, a product (by `*` or one step of `^`)
+of two operands whose term counts multiply past 10000, and more than 63
+derivatives in one base dimension of a jet token are parse errors.
 
 Variable tokens:
     x           the base variable (n = 1), or x1..xn for n > 1
@@ -65,10 +66,13 @@ _KINDS = {"q": QKIND, "b": BKIND}
 
 # Fixed limits on hostile input.  Each level of parentheses costs four
 # interpreter frames, so 100 levels stay far below the recursion limit; the
-# exponent cap keeps `q^99999999999` from multiplying without end; a jet
-# order per base dimension fits in six bits.
+# exponent cap keeps `q^99999999999` from multiplying without end; the cap on
+# term pairs per product (a few tens of milliseconds of work each) keeps a
+# small exponent on a long sum from doing so; a jet order per base dimension
+# fits in six bits.
 _MAX_NESTING = 100
 _MAX_EXPONENT = 64
+_MAX_PRODUCT_PAIRS = 10_000
 _MAX_JET_ORDER = 63
 
 
@@ -152,11 +156,20 @@ class _ExprParser:
             value = value + term if op == "+" else value - term
         return value
 
+    def _product(self, a: DiffPolynomial, b: DiffPolynomial, op: Token) -> DiffPolynomial:
+        if len(a.terms) * len(b.terms) > _MAX_PRODUCT_PAIRS:
+            self._err(
+                f"product of {len(a.terms)} by {len(b.terms)} terms exceeds the limit "
+                f"of {_MAX_PRODUCT_PAIRS} term pairs",
+                op.pos,
+            )
+        return a * b
+
     def _term(self) -> DiffPolynomial:
         value = self._power()
         while self._peek().kind == "op" and self._peek().text == "*":
-            self._take()
-            value = value * self._power()
+            op = self._take()
+            value = self._product(value, self._power(), op)
         # adjacent factors without an operator read as juxtaposition
         nxt = self._peek()
         if nxt.kind in ("num", "name") or (nxt.kind == "op" and nxt.text == "("):
@@ -166,7 +179,7 @@ class _ExprParser:
     def _power(self) -> DiffPolynomial:
         value = self._atom()
         if self._peek().kind == "op" and self._peek().text == "^":
-            self._take()
+            op = self._take()
             tok = self._peek()
             if tok.kind != "num" or "/" in tok.text:
                 self._err("exponent must be a nonnegative integer")
@@ -176,7 +189,7 @@ class _ExprParser:
                 self._err(f"exponent {exp} exceeds the limit {_MAX_EXPONENT}", tok.pos)
             result = DiffPolynomial.const(self.g, 1)
             for _ in range(exp):
-                result = result * value
+                result = self._product(result, value, op)
             return result
         return value
 

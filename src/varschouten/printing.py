@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import BKIND, PKIND, QKIND, DiffPolynomial, JetVariable, Monomial
+from .algebra import BKIND, QKIND, DiffPolynomial, JetVariable, Monomial
 
 
 def _suffix_plain(v: JetVariable, n: int) -> str:

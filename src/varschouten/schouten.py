@@ -47,9 +47,9 @@ from .algebra import (
     DiffPolynomial,
     DomainError,
     Geometry,
-    JetVariable,
     MultiIndex,
     _add_term,
+    _gradient,
     _integral,
     _jet,
     _mul_into,
@@ -85,25 +85,25 @@ class EvolutionaryField:
     def apply(self, f: DiffPolynomial) -> DiffPolynomial:
         """Transported sections, multiplied on the left of the left partials."""
         out: dict = {}
-        _apply_into(out, QKIND, self.q_sections, f)
-        _apply_into(out, BKIND, self.b_sections, f)
+        _apply_into(out, f, self.q_sections, self.b_sections)
         return DiffPolynomial(f.geometry, out)
 
 
-def _apply_into(out: dict, kind: int, sections, f: DiffPolynomial) -> None:
-    """Add sum_{alpha,sigma} D_sigma(sections[alpha-1]) * d^l f / d kind^alpha_sigma
-    into the term dict out; each jet D_sigma(sec) is built once, from a shorter one.
+def _apply_into(out: dict, f: DiffPolynomial, q_sections, b_sections) -> None:
+    """Add sum_{kind,alpha,sigma} D_sigma(sections[alpha-1]) * d^l f / d kind^alpha_sigma
+    into the term dict out, for both kinds from one gradient of f; each jet
+    D_sigma(sec) is built once, from a shorter one.
     """
-    for alpha, sec in enumerate(sections, 1):
-        if sec.is_zero:
-            continue
-        f._same_geometry(sec)
-        jets = {MultiIndex(): sec}
-        for ix in f.family_indices(kind, alpha):
-            part = f.partial(JetVariable(kind, alpha, ix), LEFT)
-            if part.is_zero:
+    grad = _gradient(f.terms)
+    for kind, sections in ((QKIND, q_sections), (BKIND, b_sections)):
+        for alpha, sec in enumerate(sections, 1):
+            if sec.is_zero:
                 continue
-            _mul_into(out, _jet(jets, ix).terms, part.terms)
+            f._same_geometry(sec)
+            jets = {MultiIndex(): sec}
+            for v, part in grad.items():
+                if v.kind == kind and v.fiber == alpha:
+                    _mul_into(out, _jet(jets, v.index).terms, part)
 
 
 def evolutionary_field(
@@ -209,7 +209,7 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
     if h.degree != 0 or phi.degree != 1:
         raise DomainError("base case takes a 0-vector and a 1-vector, in that order")
     out: dict = {}
-    _apply_into(out, QKIND, _section_of(phi.density), h.density)
+    _apply_into(out, h.density, _section_of(phi.density), ())
     return Multivector(Functional(DiffPolynomial(h.geometry, out)), 0)
 
 
@@ -226,7 +226,7 @@ def _recursive_density(
     """
     if k + l == 1:
         phi, h, sign = (g, f, sign) if k == 0 else (f, g, -sign)
-        _apply_into(out, QKIND, [sec if sign > 0 else -sec for sec in _section_of(phi)], h)
+        _apply_into(out, h, [sec if sign > 0 else -sec for sec in _section_of(phi)], ())
         return
     p = slots[-1]
     rest = slots[:-1]

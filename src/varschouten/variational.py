@@ -30,6 +30,7 @@ from .algebra import (
     Monomial,
     MultiIndex,
     _add_term,
+    _gradient,
     _integral,
 )
 
@@ -37,27 +38,32 @@ from .algebra import (
 def var_derivative(
     f: DiffPolynomial, kind: int, fiber: int, slot: int = 0, side: str = LEFT
 ) -> DiffPolynomial:
-    """Euler operator of one variable family, Horner-style.
+    """Euler operator of one variable family, read from f's gradient."""
+    grad = _gradient(f.terms, side)
+    return DiffPolynomial(f.geometry, _euler(f.geometry, grad, kind, fiber, slot))
 
-    The sum over sigma is evaluated as nested polynomials in each D_i,
-    so only max-order many total derivatives are applied per dimension and
-    exact densities collapse early.
+
+def _euler(g: Geometry, grad: dict, kind: int, fiber: int, slot: int) -> dict:
+    """sum_sigma (-D)_sigma grad[u_sigma] over the family u = (kind, fiber, slot) of
+    a gradient, nested in each D_i (Horner): only max-order many total derivatives
+    per dimension, and exact densities collapse early.  Consumes grad's term dicts.
     """
-    g = f.geometry
     bounds = [0] * g.n
-    for v in f.jet_variables():
+    for v in grad:
         if v.kind == kind and v.fiber == fiber and v.slot == slot:
             for d, c in enumerate(v.index.row):
                 bounds[d] = max(bounds[d], c)
 
-    def rec(dim: int, row: list[int]) -> DiffPolynomial:
+    def rec(dim: int, row: list[int]) -> dict:
         if dim > g.n:
-            ix = MultiIndex.from_row(row)
-            return f.partial(JetVariable(kind, fiber, ix, slot), side)
+            return grad.get(JetVariable(kind, fiber, MultiIndex.from_row(row), slot), {})
         top = bounds[dim - 1]
         acc = rec(dim + 1, row + [top])
         for k in range(top - 1, -1, -1):
-            acc = rec(dim + 1, row + [k]) - acc.total_derivative(dim)
+            nxt = rec(dim + 1, row + [k])
+            for m, c in DiffPolynomial(g, acc).total_derivative(dim).terms.items():
+                _add_term(nxt, m, -c)
+            acc = nxt
         return acc
 
     return rec(1, [])
@@ -80,11 +86,9 @@ def is_exact(f: DiffPolynomial) -> bool:
     """True iff f is a total divergence (plus a pure base-variable part);
     decided on f with its denominators cleared, which keeps the verdict."""
     f = _integral(f)[0]
-    for kind, fiber, slot in sorted(f.families()):
-        side = LEFT  # for odd families the right Euler operator is +-(left)
-        if var_derivative(f, kind, fiber, slot, side):
-            return False
-    return True
+    grad = _gradient(f.terms, LEFT)  # for odd families the right Euler operator is +-(left)
+    families = sorted({(v.kind, v.fiber, v.slot) for v in grad})
+    return not any(_euler(f.geometry, grad, *family) for family in families)
 
 
 @dataclass(frozen=True, eq=False)

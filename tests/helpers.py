@@ -28,11 +28,9 @@ from varschouten import (
     JetVariable,
     MultiIndex,
     QKIND,
-    bvar,
     iota,
     midx,
     monomial,
-    qvar,
     var_b,
 )
 
@@ -209,7 +207,8 @@ def naive_apply(q_sections, b_sections, f: DiffPolynomial) -> DiffPolynomial:
     out = DiffPolynomial.zero(f.geometry)
     for kind, sections in ((QKIND, q_sections), (BKIND, b_sections)):
         for alpha, sec in enumerate(sections, 1):
-            for ix in f.family_indices(kind, alpha):
+            indices = {v.index for v in f.jet_variables() if (v.kind, v.fiber) == (kind, alpha)}
+            for ix in sorted(indices):
                 part = f.partial(JetVariable(kind, alpha, ix), LEFT)
                 out = out + total_derivative_multi(sec, ix) * part
     return out

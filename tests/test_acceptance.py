@@ -14,7 +14,6 @@ import time
 from varschouten import (
     DiffPolynomial,
     GeneratorConfig,
-    Geometry,
     battery_commutator,
     battery_definitions_agree,
     battery_jacobi,

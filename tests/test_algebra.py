@@ -32,7 +32,15 @@ from varschouten import (
     qvar,
 )
 
-from helpers import G11, G22, BladeModel, polynomials, reference_order, variables
+from helpers import (
+    G11,
+    G22,
+    BladeModel,
+    polynomials,
+    reference_order,
+    total_derivative_multi,
+    variables,
+)
 
 g = Geometry(1, 1, 2)
 
@@ -74,13 +82,23 @@ def test_jet_variable_survives_pickle_and_deepcopy():
         assert (w.kind, w.fiber, w.index, w.slot) == (PKIND, 1, midx(1), 2)
 
 
-def _any_variable(geo):
-    slot_vars = st.builds(
+def _slot_variables(geo):
+    return st.builds(
         lambda v, slot: JetVariable(PKIND, v.fiber, v.index, slot),
         variables(geo, PKIND),
         st.integers(1, geo.s),
     )
-    return st.one_of(variables(geo, QKIND), variables(geo, BKIND), slot_vars)
+
+
+def _any_variable(geo):
+    return st.one_of(variables(geo, QKIND), variables(geo, BKIND), _slot_variables(geo))
+
+
+@st.composite
+def _with_slots(draw, geo):
+    """A random density plus a random density times up to three slot factors."""
+    f, h = draw(polynomials(geo)), draw(polynomials(geo))
+    return f + h * monomial(geo, 1, even=draw(st.lists(_slot_variables(geo), max_size=3)))
 
 
 @pytest.mark.parametrize("geo", [G11, G22], ids=["1d", "2d"])
@@ -230,6 +248,71 @@ def test_partials_match_blade_model(f):
         v = bvar(1, *([1] * k))
         assert model.from_poly(f.partial(v, LEFT)) == model.partial_odd(a, v, "left")
         assert model.from_poly(f.partial(v, RIGHT)) == model.partial_odd(a, v, "right")
+
+
+@given(polynomials(G22))
+@settings(max_examples=100, deadline=None)
+def test_partials_match_blade_model_2d(f):
+    model = BladeModel()
+    a = model.from_poly(f)
+    for v in {v for m in f.terms for v in m.odd}:
+        assert model.from_poly(f.partial(v, LEFT)) == model.partial_odd(a, v, "left")
+        assert model.from_poly(f.partial(v, RIGHT)) == model.partial_odd(a, v, "right")
+
+
+@pytest.mark.parametrize("geo", [G11, G22], ids=["1d", "2d"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_euler_identity_counts_jet_factors(geo, data):
+    """sum_v v * (left d/dv) f = sum_v (right d/dv) f * v = f with each monomial
+    weighted by its number of jet factors, counted with multiplicity."""
+    f = data.draw(_with_slots(geo))
+    weighted = {
+        m: c * (sum(e for _, e in m.even) + len(m.odd))
+        for m, c in f.terms.items()
+        if m.even or m.odd
+    }
+    left = right = DiffPolynomial.zero(geo)
+    for v in f.jet_variables():
+        x = DiffPolynomial.variable(geo, v)
+        left = left + x * f.partial(v, LEFT)
+        right = right + f.partial(v, RIGHT) * x
+    assert left == DiffPolynomial(geo, weighted)
+    assert right == DiffPolynomial(geo, weighted)
+
+
+def _naive_substitute_slot(f, slot, sections):
+    """Each monomial rebuilt factor by factor with variable, * and +, every
+    slot factor replaced by its section's jet computed from scratch."""
+    geo = f.geometry
+    out = DiffPolynomial.zero(geo)
+    for m, c in f.terms.items():
+        piece = monomial(geo, c, base=m.base)
+        for v, e in m.even:
+            if v.kind == PKIND and v.slot == slot:
+                factor = total_derivative_multi(sections[v.fiber - 1], v.index)
+            else:
+                factor = DiffPolynomial.variable(geo, v)
+            for _ in range(e):
+                piece = piece * factor
+        for v in m.odd:
+            piece = piece * DiffPolynomial.variable(geo, v)
+        out = out + piece
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_slot_matches_naive_composition(data):
+    f = data.draw(_with_slots(G22))
+    # a squared slot factor and a slot factor with a two-dimensional row
+    f = f + data.draw(polynomials(G22)) * monomial(
+        G22, 1, even=[pvar(1, 1), pvar(1, 1), pvar(1, 2, 1, 2)]
+    )
+    degrees = data.draw(st.lists(st.sampled_from([0, 2]), min_size=2, max_size=2))
+    sections = [data.draw(polynomials(G22, degree=d)) for d in degrees]
+    for slot in (1, 2):
+        assert f.substitute_slot(slot, sections) == _naive_substitute_slot(f, slot, sections)
 
 
 @given(polynomials(G11, degree=1), polynomials(G11, degree=1), polynomials(G11, degree=2))

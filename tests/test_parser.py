@@ -126,6 +126,16 @@ def test_bound_names_substitute_polynomials():
             "q_" + "x" * 63 + "*b_" + "x" * 64,
             "more than 63 derivatives in one base dimension", 1, 67, id="jet-order",
         ),
+        pytest.param(
+            "(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b",
+            "product of 1716 by 6 terms exceeds the limit of 10000 term pairs", 1, 28,
+            id="power-terms",
+        ),
+        pytest.param(
+            "(q+q_x+q_xx+q_xxx)^7*(q+q_x+q_xx+q_xxx)^7",
+            "product of 120 by 120 terms exceeds the limit of 10000 term pairs", 1, 21,
+            id="product-terms",
+        ),
     ],
 )
 def test_error_positions(text, fragment, line, col):

@@ -4,12 +4,14 @@ import re
 
 import pytest
 
+import varschouten.schouten as schouten
 from varschouten import (
     BatteryReport,
     DomainError,
     FailureRecord,
     GeneratorConfig,
     Geometry,
+    Multivector,
     battery_commutator,
     battery_definitions_agree,
     battery_golden_examples,
@@ -70,6 +72,21 @@ def test_batteries_pass_at_small_case_counts():
         assert report.ok, report.failures
         assert report.seed == 11
         assert report.wall_time > 0
+
+
+def test_definitions_agree_checks_the_rebuilt_bracket(monkeypatch):
+    # the inserted values stay right; only the b-form rebuilt from them flips sign
+    real = schouten.from_slots
+
+    def flipped(f, slots):
+        rebuilt = real(f, slots)
+        return Multivector(-rebuilt.functional, rebuilt.degree)
+
+    monkeypatch.setattr(schouten, "from_slots", flipped)
+    report = battery_definitions_agree(GeneratorConfig(seed=11), 4)
+    assert [f.detail for f in report.failures] == [
+        "recursion's rebuilt bracket disagrees with the density formula"
+    ] * 4
 
 
 def test_golden_examples_battery_is_deterministic():

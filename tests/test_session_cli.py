@@ -5,6 +5,9 @@ exit code conventions: 0 success/true, 1 false verdicts, 2 parse errors,
 3 domain errors.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from varschouten import Geometry, ParseError, load_session
@@ -172,6 +175,19 @@ def test_hostile_input_is_a_parse_error(capsys):
     code, out, err = run_cli(capsys, "degree", "q^99999999999")
     assert (code, out) == (2, "")
     assert err == "parse error: line 1, col 3: exponent 99999999999 exceeds the limit 64\n"
+
+
+def test_long_sum_to_a_small_power_is_refused_quickly():
+    # a subprocess with a timeout, so a hang fails the test instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "varschouten", "degree", "(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "parse error: line 1, col 28: "
+        "product of 1716 by 6 terms exceeds the limit of 10000 term pairs\n"
+    )
 
 
 def test_domain_error_exit_code(capsys):

@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varschouten import (
-    BKIND,
     LEFT,
-    QKIND,
     RIGHT,
     DiffPolynomial,
     DomainError,
