@@ -19,6 +19,9 @@ Everything downstream leans on the conventions fixed here:
   _gradient is the one home of these signs: it is the only code that
   differentiates a monomial by a jet variable, and partial, the Euler
   operator and the field action all read their partials from it.
+* _derive_into, which adds +-D_i of a term dict into another, is the one
+  Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
+  and the Euler operator (downward along the same prefixes) all use it.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -281,6 +284,25 @@ def _gradient(terms: dict, side: str = LEFT) -> dict:
     return grad
 
 
+def _derive_into(out: dict, terms: dict, dim: int, sign: int = 1) -> None:
+    """Add sign * D_dim(terms) into the term dict out, by the Leibniz rule."""
+    for m, c in terms.items():
+        c = c if sign > 0 else -c
+        base, even, odd = m
+        for t, (d, e) in enumerate(base):
+            if d == dim:
+                rest = base[:t] + (((d, e - 1),) if e > 1 else ()) + base[t + 1 :]
+                _add_term(out, Monomial(rest, even, odd), c * e if e > 1 else c)
+        for t, (v, e) in enumerate(even):
+            rest = even[:t] + (((v, e - 1),) if e > 1 else ()) + even[t + 1 :]
+            shifted = _insert_power(rest, v.shifted(dim))
+            _add_term(out, Monomial(base, shifted, odd), c * e if e > 1 else c)
+        for t, v in enumerate(odd):
+            flip, word = _sort_word([*odd[:t], v.shifted(dim), *odd[t + 1 :]])
+            if flip:
+                _add_term(out, Monomial(base, even, word), c if flip > 0 else -c)
+
+
 def _check_var(v: JetVariable, g: Geometry) -> None:
     if not 1 <= v.fiber <= g.m:
         raise DomainError(f"fiber index {v.fiber} outside geometry bounds (m={g.m})")
@@ -417,22 +439,7 @@ class DiffPolynomial:
         if not 1 <= dim <= g.n:
             raise DomainError(f"base dimension {dim} outside geometry bounds (n={g.n})")
         out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            for t, (d, e) in enumerate(m.base):
-                if d == dim:
-                    rest = m.base[:t] + (((d, e - 1),) if e > 1 else ()) + m.base[t + 1 :]
-                    _add_term(out, Monomial(rest, m.even, m.odd), c * e if e > 1 else c)
-                    break
-            for t, (v, e) in enumerate(m.even):
-                rest = m.even[:t] + (((v, e - 1),) if e > 1 else ()) + m.even[t + 1 :]
-                even = _insert_power(rest, v.shifted(dim))
-                _add_term(out, Monomial(m.base, even, m.odd), c * e if e > 1 else c)
-            for t, v in enumerate(m.odd):
-                word = list(m.odd)
-                word[t] = v.shifted(dim)
-                sign, sorted_word = _sort_word(word)
-                if sign:
-                    _add_term(out, Monomial(m.base, m.even, sorted_word), c if sign > 0 else -c)
+        _derive_into(out, self.terms, dim)
         return DiffPolynomial(g, out)
 
     # -- queries used by the variational layer --------------------------------
@@ -507,14 +514,14 @@ class DiffPolynomial:
             self._same_geometry(sec)
             if any(m.b_degree % 2 for m in sec.terms):
                 raise DomainError("slot substitution needs even sections")
-        jets = [{MultiIndex(): sec} for sec in sections]
+        jets = [{MultiIndex(): sec.terms} for sec in sections]
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             kept: list = []
             reps: list[dict] = []
             for v, e in m.even:
                 if v.kind == PKIND and v.slot == slot:
-                    reps.extend([_jet(jets[v.fiber - 1], v.index).terms] * e)
+                    reps.extend([_jet(jets[v.fiber - 1], v.index)] * e)
                 else:
                     kept.append((v, e))
             piece = {Monomial(m.base, tuple(kept), m.odd): c}
@@ -534,14 +541,14 @@ def _integral(p: DiffPolynomial) -> tuple[DiffPolynomial, int]:
     return DiffPolynomial(p.geometry, terms), den
 
 
-def _jet(jets: dict, ix: MultiIndex) -> DiffPolynomial:
-    """D_ix of the section stored at jets[MultiIndex()], memoized by prefixes:
+def _jet(jets: dict, ix: MultiIndex) -> dict:
+    """D_ix of the term dict stored at jets[MultiIndex()], memoized by prefixes:
     D_sigma = D_d D_{sigma - d}, with d the last dimension of sigma."""
     got = jets.get(ix)
     if got is None:
         d = len(ix.row)
-        got = _jet(jets, ix.minus(d)).total_derivative(d)
-        jets[ix] = got
+        jets[ix] = got = {}
+        _derive_into(got, _jet(jets, ix.minus(d)), d)
     return got
 
 

@@ -56,8 +56,16 @@ class BatteryReport:
         return f"{self.name} {self.cases} {len(self.failures)} {self.seed}"
 
 
-def _printed(*polys: DiffPolynomial) -> tuple[str, ...]:
-    return tuple(format_polynomial(p) for p in polys)
+def _run(name: str, cfg: GeneratorConfig, cases: int, check) -> BatteryReport:
+    """Time check(case) for every case; it returns (input polynomials, failure detail or None)."""
+    start = time.perf_counter()
+    failures = []
+    for case in range(cases):
+        inputs, detail = check(case)
+        if detail is not None:
+            printed = tuple(format_polynomial(p) for p in inputs)
+            failures.append(FailureRecord(name, case, cfg.seed, printed, detail))
+    return BatteryReport(name, cases, tuple(failures), cfg.seed, time.perf_counter() - start)
 
 
 # degree pairs cycled by the pairwise batteries; every recursion depth
@@ -103,50 +111,30 @@ def _definitions_disagree(xi: Multivector, eta: Multivector) -> str | None:
 def battery_definitions_agree(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:
     """Density formula vs evolutionary field vs fully inserted recursion: the
     three representatives, the three zero verdicts and the inserted values."""
-    start = time.perf_counter()
-    failures = []
     pairs = _admissible_pairs(cfg)
-    for case in range(cases):
+
+    def check(case):
         k, l = pairs[case % len(pairs)]
         xi = random_multivector(cfg, k, salt=f"defs:{case}:xi")
         eta = random_multivector(cfg, l, salt=f"defs:{case}:eta")
-        detail = _definitions_disagree(xi, eta)
-        if detail is not None:
-            failures.append(
-                FailureRecord(
-                    "definitions-agree", case, cfg.seed,
-                    _printed(xi.density, eta.density), detail,
-                )
-            )
-    return BatteryReport(
-        "definitions-agree", cases, tuple(failures), cfg.seed,
-        time.perf_counter() - start,
-    )
+        return (xi.density, eta.density), _definitions_disagree(xi, eta)
+
+    return _run("definitions-agree", cfg, cases, check)
 
 
 def battery_jacobi(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:
-    start = time.perf_counter()
-    failures = []
-    triples = [
-        t for t in _DEGREE_TRIPLES
-        if max(t) <= cfg.max_degree and sum(t) <= 5
-    ]
-    for case in range(cases):
+    triples = [t for t in _DEGREE_TRIPLES if max(t) <= cfg.max_degree and sum(t) <= 5]
+
+    def check(case):
         r, s, t = triples[case % len(triples)]
         xi = random_multivector(cfg, r, salt=f"jac:{case}:xi")
         eta = random_multivector(cfg, s, salt=f"jac:{case}:eta")
         zeta = random_multivector(cfg, t, salt=f"jac:{case}:zeta")
-        if not jacobi_defect(xi, eta, zeta).is_zero:
-            failures.append(
-                FailureRecord(
-                    "jacobi", case, cfg.seed,
-                    _printed(xi.density, eta.density, zeta.density),
-                    "graded Jacobi defect has a nonzero class",
-                )
-            )
-    return BatteryReport(
-        "jacobi", cases, tuple(failures), cfg.seed, time.perf_counter() - start
-    )
+        if jacobi_defect(xi, eta, zeta).is_zero:
+            return (), None
+        return (xi.density, eta.density, zeta.density), "graded Jacobi defect has a nonzero class"
+
+    return _run("jacobi", cfg, cases, check)
 
 
 def _bracket_field(xi: Multivector, eta: Multivector) -> EvolutionaryField:
@@ -158,29 +146,20 @@ def _bracket_field(xi: Multivector, eta: Multivector) -> EvolutionaryField:
 
 def battery_commutator(cfg: GeneratorConfig, cases: int = 50) -> BatteryReport:
     """int Q^[[xi,eta]](f) agrees with int [Q^xi, Q^eta](f) on random probes."""
-    start = time.perf_counter()
-    failures = []
     pairs = _admissible_pairs(cfg)
-    for case in range(cases):
+
+    def check(case):
         k, l = pairs[case % len(pairs)]
         xi = random_multivector(cfg, k, salt=f"comm:{case}:xi")
         eta = random_multivector(cfg, l, salt=f"comm:{case}:eta")
-        probe = random_density(
-            cfg, case % 3, random.Random(f"{cfg.seed}:comm:{case}:probe")
-        )
+        probe = random_density(cfg, case % 3, random.Random(f"{cfg.seed}:comm:{case}:probe"))
         lhs = _bracket_field(xi, eta).apply(probe)
         rhs = graded_commutator(q_field(xi), q_field(eta), probe)
-        if not equivalent(lhs, rhs):
-            failures.append(
-                FailureRecord(
-                    "commutator", case, cfg.seed,
-                    _printed(xi.density, eta.density, probe),
-                    "bracket field disagrees with the field commutator",
-                )
-            )
-    return BatteryReport(
-        "commutator", cases, tuple(failures), cfg.seed, time.perf_counter() - start
-    )
+        if equivalent(lhs, rhs):
+            return (), None
+        return (xi.density, eta.density, probe), "bracket field disagrees with the field commutator"
+
+    return _run("commutator", cfg, cases, check)
 
 
 def _remark1_holds(h: Multivector, xi: Multivector) -> bool:
@@ -210,30 +189,20 @@ def _remark2_identity_holds(g) -> bool:
 
 def battery_remarks(cfg: GeneratorConfig, cases: int = 20) -> BatteryReport:
     """(a) the factor-2 pairing law on random cases; (b) the fixed
-    actual-covector substitution, which must violate the recursion identity."""
-    start = time.perf_counter()
-    failures = []
-    for case in range(cases):
+    actual-covector substitution, which must violate the recursion identity,
+    checked as case number `cases`."""
+
+    def check(case):
+        if case == cases:
+            held = _remark2_identity_holds(cfg.geometry)
+            return (), "covector substitution unexpectedly satisfied the identity" if held else None
         h = random_multivector(cfg, 0, salt=f"rem:{case}:h")
         xi = random_multivector(cfg, 2, salt=f"rem:{case}:xi")
-        if not _remark1_holds(h, xi):
-            failures.append(
-                FailureRecord(
-                    "remarks", case, cfg.seed,
-                    _printed(h.density, xi.density),
-                    "pairing factor law failed",
-                )
-            )
-    if _remark2_identity_holds(cfg.geometry):
-        failures.append(
-            FailureRecord(
-                "remarks", cases, cfg.seed, (),
-                "covector substitution unexpectedly satisfied the identity",
-            )
-        )
-    return BatteryReport(
-        "remarks", cases + 1, tuple(failures), cfg.seed, time.perf_counter() - start
-    )
+        if _remark1_holds(h, xi):
+            return (), None
+        return (h.density, xi.density), "pairing factor law failed"
+
+    return _run("remarks", cfg, cases + 1, check)
 
 
 def battery_golden_examples(cfg: GeneratorConfig | None = None) -> BatteryReport:

@@ -5,9 +5,10 @@ product of factors joined by `*` (juxtaposition is rejected so derivative
 suffixes like `b_x1x2` stay unambiguous); a factor is a rational literal,
 a variable token, a bound name, or a parenthesized expression, optionally
 raised to a nonnegative integer power with `^`.  Exponents above 64,
-parentheses nested more than 100 deep, a product (by `*` or one step of `^`)
-of two operands whose term counts multiply past 10000, and more than 63
-derivatives in one base dimension of a jet token are parse errors.
+parentheses nested more than 100 deep, more than 63 derivatives in one base
+dimension of a jet token, and products that together multiply more than
+10000 term pairs in one expression (each `*`, and each step of a `^`, spends
+the product of its operands' term counts) are parse errors.
 
 Variable tokens:
     x           the base variable (n = 1), or x1..xn for n > 1
@@ -66,13 +67,13 @@ _KINDS = {"q": QKIND, "b": BKIND}
 
 # Fixed limits on hostile input.  Each level of parentheses costs four
 # interpreter frames, so 100 levels stay far below the recursion limit; the
-# exponent cap keeps `q^99999999999` from multiplying without end; the cap on
-# term pairs per product (a few tens of milliseconds of work each) keeps a
-# small exponent on a long sum from doing so; a jet order per base dimension
-# fits in six bits.
+# exponent cap keeps `q^99999999999` from multiplying without end; the budget
+# of term pairs per expression (a few tens of milliseconds of work) keeps a
+# small exponent on a long sum, or a long chain of products, from doing so; a
+# jet order per base dimension fits in six bits.
 _MAX_NESTING = 100
 _MAX_EXPONENT = 64
-_MAX_PRODUCT_PAIRS = 10_000
+_MAX_PARSE_PAIRS = 10_000
 _MAX_JET_ORDER = 63
 
 
@@ -120,6 +121,7 @@ class _ExprParser:
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0
+        self.pairs_left = _MAX_PARSE_PAIRS
 
     def _err(self, message: str, pos: int | None = None):
         if pos is None:
@@ -157,10 +159,11 @@ class _ExprParser:
         return value
 
     def _product(self, a: DiffPolynomial, b: DiffPolynomial, op: Token) -> DiffPolynomial:
-        if len(a.terms) * len(b.terms) > _MAX_PRODUCT_PAIRS:
+        self.pairs_left -= len(a.terms) * len(b.terms)
+        if self.pairs_left < 0:
             self._err(
-                f"product of {len(a.terms)} by {len(b.terms)} terms exceeds the limit "
-                f"of {_MAX_PRODUCT_PAIRS} term pairs",
+                f"product of {len(a.terms)} by {len(b.terms)} terms exceeds the expression's "
+                f"budget of {_MAX_PARSE_PAIRS} term pairs",
                 op.pos,
             )
         return a * b

@@ -41,7 +41,6 @@ from math import factorial
 
 from .algebra import (
     BKIND,
-    LEFT,
     QKIND,
     RIGHT,
     DiffPolynomial,
@@ -55,7 +54,7 @@ from .algebra import (
     _mul_into,
 )
 from .multivector import Multivector, _iota_sum, from_slots
-from .variational import Functional, is_exact, var_b, var_q
+from .variational import Functional, _euler, is_exact
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,10 @@ def _apply_into(out: dict, f: DiffPolynomial, q_sections, b_sections) -> None:
             if sec.is_zero:
                 continue
             f._same_geometry(sec)
-            jets = {MultiIndex(): sec}
+            jets = {MultiIndex(): sec.terms}
             for v, part in grad.items():
                 if v.kind == kind and v.fiber == alpha:
-                    _mul_into(out, _jet(jets, v.index).terms, part)
+                    _mul_into(out, _jet(jets, v.index), part)
 
 
 def evolutionary_field(
@@ -123,9 +122,9 @@ def evolutionary_field(
 def q_field(xi: Multivector) -> EvolutionaryField:
     """The field Q^xi with q-sections -rdelta xi/delta b and b-sections rdelta xi/delta q."""
     g = xi.geometry
-    f = xi.density
-    qs = tuple(-var_b(f, a, RIGHT) for a in range(1, g.m + 1))
-    bs = tuple(var_q(f, a) for a in range(1, g.m + 1))
+    grad = _gradient(xi.density.terms, RIGHT)  # q-partials do not depend on the side
+    qs = tuple(-DiffPolynomial(g, _euler(grad, BKIND, a, 0)) for a in range(1, g.m + 1))
+    bs = tuple(DiffPolynomial(g, _euler(grad, QKIND, a, 0)) for a in range(1, g.m + 1))
     return EvolutionaryField(qs, bs, (xi.degree - 1) % 2)
 
 
@@ -159,14 +158,18 @@ class BracketReport:
 
 
 def schouten_density(f: DiffPolynomial, g: DiffPolynomial) -> DiffPolynomial:
-    """The density formula; the factor order inside each product matters."""
+    """The density formula; the factor order inside each product matters.
+    Each argument is differentiated once, f on the right and g on the left;
+    q-partials do not depend on the side."""
     if f.geometry != g.geometry:
         raise DomainError("bracket arguments live over different geometries")
     geo = f.geometry
+    right, left = _gradient(f.terms, RIGHT), _gradient(g.terms)
     out: dict = {}
     for alpha in range(1, geo.m + 1):
-        _mul_into(out, var_q(f, alpha).terms, var_b(g, alpha, LEFT).terms)
-        _mul_into(out, (-var_b(f, alpha, RIGHT)).terms, var_q(g, alpha).terms)
+        _mul_into(out, _euler(right, QKIND, alpha, 0), _euler(left, BKIND, alpha, 0))
+        minus_b = {m: -c for m, c in _euler(right, BKIND, alpha, 0).items()}
+        _mul_into(out, minus_b, _euler(left, QKIND, alpha, 0))
     return DiffPolynomial(geo, out)
 
 
@@ -201,7 +204,8 @@ def bracket_via_q(xi: Multivector, eta: Multivector) -> BracketReport:
 
 def _section_of(onevec: DiffPolynomial) -> tuple[DiffPolynomial, ...]:
     g = onevec.geometry
-    return tuple(var_b(onevec, a, LEFT) for a in range(1, g.m + 1))
+    grad = _gradient(onevec.terms)
+    return tuple(DiffPolynomial(g, _euler(grad, BKIND, a, 0)) for a in range(1, g.m + 1))
 
 
 def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
@@ -302,11 +306,8 @@ def is_poisson(p: Multivector) -> tuple[bool, Multivector | None]:
     """Certify [[P, P]] = 0 for a bivector; on failure return the witness 3-vector."""
     if p.degree != 2:
         raise DomainError("Poisson certification applies to bivectors")
-    f, d = _integral(p.density)
-    w = schouten_density(f, f)
-    if is_exact(w):
-        return True, None
-    return False, Multivector(Functional(w.scaled(Fraction(1, d * d))), 3)
+    r = bracket_poisson(p, p)
+    return r.zero, r.result
 
 
 def _default_probes(g: Geometry) -> list[DiffPolynomial]:

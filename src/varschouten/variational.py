@@ -26,10 +26,10 @@ from .algebra import (
     DomainError,
     Geometry,
     GeometryMismatch,
-    JetVariable,
     Monomial,
     MultiIndex,
     _add_term,
+    _derive_into,
     _gradient,
     _integral,
 )
@@ -39,34 +39,22 @@ def var_derivative(
     f: DiffPolynomial, kind: int, fiber: int, slot: int = 0, side: str = LEFT
 ) -> DiffPolynomial:
     """Euler operator of one variable family, read from f's gradient."""
-    grad = _gradient(f.terms, side)
-    return DiffPolynomial(f.geometry, _euler(f.geometry, grad, kind, fiber, slot))
+    return DiffPolynomial(f.geometry, _euler(_gradient(f.terms, side), kind, fiber, slot))
 
 
-def _euler(g: Geometry, grad: dict, kind: int, fiber: int, slot: int) -> dict:
-    """sum_sigma (-D)_sigma grad[u_sigma] over the family u = (kind, fiber, slot) of
-    a gradient, nested in each D_i (Horner): only max-order many total derivatives
-    per dimension, and exact densities collapse early.  Consumes grad's term dicts.
+def _euler(grad: dict, kind: int, fiber: int, slot: int) -> dict:
+    """sum_sigma (-D)_sigma grad[u_sigma] over the family u = (kind, fiber, slot):
+    down the prefix tree of the jet memo, highest order first, the part at sigma
+    moves to sigma - e_d (d the last dimension of sigma) as -D_d of itself.
+    Horner's scheme in every dimension.  Consumes grad's dicts of the family.
     """
-    bounds = [0] * g.n
-    for v in grad:
-        if v.kind == kind and v.fiber == fiber and v.slot == slot:
-            for d, c in enumerate(v.index.row):
-                bounds[d] = max(bounds[d], c)
-
-    def rec(dim: int, row: list[int]) -> dict:
-        if dim > g.n:
-            return grad.get(JetVariable(kind, fiber, MultiIndex.from_row(row), slot), {})
-        top = bounds[dim - 1]
-        acc = rec(dim + 1, row + [top])
-        for k in range(top - 1, -1, -1):
-            nxt = rec(dim + 1, row + [k])
-            for m, c in DiffPolynomial(g, acc).total_derivative(dim).terms.items():
-                _add_term(nxt, m, -c)
-            acc = nxt
-        return acc
-
-    return rec(1, [])
+    family = (kind, slot, fiber)
+    parts = {v.index: part for v, part in grad.items() if v[:3] == family}
+    for order in range(max((ix.order for ix in parts), default=0), 0, -1):
+        for ix in [ix for ix in parts if ix.order == order]:
+            d = len(ix.row)
+            _derive_into(parts.setdefault(ix.minus(d), {}), parts.pop(ix), d, -1)
+    return parts.get(MultiIndex(), {})
 
 
 def var_q(f: DiffPolynomial, fiber: int) -> DiffPolynomial:
@@ -88,7 +76,7 @@ def is_exact(f: DiffPolynomial) -> bool:
     f = _integral(f)[0]
     grad = _gradient(f.terms, LEFT)  # for odd families the right Euler operator is +-(left)
     families = sorted({(v.kind, v.fiber, v.slot) for v in grad})
-    return not any(_euler(f.geometry, grad, *family) for family in families)
+    return not any(_euler(grad, *family) for family in families)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,31 +137,21 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
     if deg < 1:
         raise DomainError("bA-form normalization needs b-degree at least 1")
     work, den = _integral(work)
-    done: dict[Monomial, int] = {}
+    terms, done = work.terms, {}
     guard = work.max_order() + 2
-    while work.terms:
+    while terms:
         guard -= 1
         if guard < 0:
             raise DomainError("bA-form normalization failed to terminate")
-        ready = {}
-        pending = {}
-        for m, c in work.terms.items():
-            if m.odd[0].index.order == 0:
-                ready[m] = c
-            else:
-                pending[m] = c
-        for m, c in ready.items():
-            _add_term(done, m, c)
-        if not pending:
-            break
-        nxt = dict(pending)
-        for m, c in pending.items():
+        nxt: dict[Monomial, int] = {}
+        for m, c in terms.items():
             w = m.odd[0]
+            if not w.index.order:
+                _add_term(done, m, c)
+                continue
             dim = w.index.counts[0][0]
-            lowered = Monomial(
-                m.base, m.even, (w._replace(index=w.index.minus(dim)),) + m.odd[1:]
-            )
-            for mono, d in DiffPolynomial(g, {lowered: c}).total_derivative(dim).terms.items():
-                _add_term(nxt, mono, -d)
-        work = DiffPolynomial(g, nxt)
+            lowered = m._replace(odd=(w._replace(index=w.index.minus(dim)),) + m.odd[1:])
+            _add_term(nxt, m, c)
+            _derive_into(nxt, {lowered: c}, dim, -1)
+        terms = nxt
     return DiffPolynomial(g, done).scaled(Fraction(1, den))

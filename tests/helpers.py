@@ -118,6 +118,7 @@ class BladeModel:
 
 G11 = Geometry(1, 1, 2)
 G22 = Geometry(2, 2, 2)
+G31 = Geometry(3, 1, 2)
 
 _COEFFS = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3
@@ -136,9 +137,10 @@ def _index_pool(g: Geometry, max_order: int):
         return [midx(*([1] * k)) for k in range(max_order + 1)]
     pool = [midx()]
     for k in range(1, max_order + 1):
-        pool.append(midx(*([1] * k)))
-        pool.append(midx(*([2] * k)))
+        pool.extend(midx(*([d] * k)) for d in range(1, g.n + 1))
     pool.append(midx(1, 2))
+    if g.n >= 3:
+        pool.extend([midx(2, 3), midx(1, 2, 3)])
     return pool
 
 

@@ -128,12 +128,12 @@ def test_bound_names_substitute_polynomials():
         ),
         pytest.param(
             "(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b",
-            "product of 1716 by 6 terms exceeds the limit of 10000 term pairs", 1, 28,
+            "product of 825 by 6 terms exceeds the expression's budget of 10000 term pairs", 1, 28,
             id="power-terms",
         ),
         pytest.param(
             "(q+q_x+q_xx+q_xxx)^7*(q+q_x+q_xx+q_xxx)^7",
-            "product of 120 by 120 terms exceeds the limit of 10000 term pairs", 1, 21,
+            "product of 120 by 120 terms exceeds the expression's budget of 10000 term pairs", 1, 21,
             id="product-terms",
         ),
     ],

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import varschouten.batteries as batteries
 import varschouten.schouten as schouten
 from varschouten import (
     BatteryReport,
@@ -17,6 +18,7 @@ from varschouten import (
     battery_golden_examples,
     battery_jacobi,
     battery_remarks,
+    format_polynomial,
     is_exact,
     random_exact,
     random_multivector,
@@ -87,6 +89,23 @@ def test_definitions_agree_checks_the_rebuilt_bracket(monkeypatch):
     assert [f.detail for f in report.failures] == [
         "recursion's rebuilt bracket disagrees with the density formula"
     ] * 4
+
+
+def test_failure_records_carry_case_index_and_printed_inputs(monkeypatch):
+    monkeypatch.setattr(batteries, "_remark2_identity_holds", lambda g: True)
+    monkeypatch.setattr(batteries, "_remark1_holds", lambda h, xi: False)
+    cfg = GeneratorConfig(seed=11)
+    report = battery_remarks(cfg, 2)
+    assert report.summary_line() == "remarks 3 3 11"
+    h = random_multivector(cfg, 0, salt="rem:1:h").density
+    xi = random_multivector(cfg, 2, salt="rem:1:xi").density
+    assert report.failures[1] == FailureRecord(
+        "remarks", 1, 11, (format_polynomial(h), format_polynomial(xi)), "pairing factor law failed"
+    )
+    # the fixed identity check is recorded as the case after the random ones
+    assert report.failures[2] == FailureRecord(
+        "remarks", 2, 11, (), "covector substitution unexpectedly satisfied the identity"
+    )
 
 
 def test_golden_examples_battery_is_deterministic():

@@ -1,7 +1,8 @@
 """The two scripts the README promises run to completion.
 
 Each runs in a subprocess against the checkout's src/ (see conftest.py),
-the way a reader would start it.
+the way a reader would start it.  The worked examples print exact values,
+so their whole output is compared with the files in tests/golden/.
 """
 
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_script(name, *argv):
@@ -19,8 +21,10 @@ def run_script(name, *argv):
 
 
 def test_worked_examples_script():
-    proc = run_script("worked_examples.py")
-    assert proc.returncode == 0, proc.stderr
+    for argv, golden in (((), "worked_examples.txt"), (("--latex",), "worked_examples_latex.txt")):
+        proc = run_script("worked_examples.py", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / golden).read_text()
 
 
 def test_certify_bivectors_script():

@@ -178,16 +178,26 @@ def test_hostile_input_is_a_parse_error(capsys):
 
 
 def test_long_sum_to_a_small_power_is_refused_quickly():
-    # a subprocess with a timeout, so a hang fails the test instead of stalling the suite
-    proc = subprocess.run(
-        [sys.executable, "-m", "varschouten", "degree", "(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b"],
-        capture_output=True, text=True, timeout=10,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "parse error: line 1, col 28: "
-        "product of 1716 by 6 terms exceeds the limit of 10000 term pairs\n"
-    )
+    # 100-term factors, then a chain of products that each stay small: the
+    # budget is spent per expression, so the first `*q_x` is refused
+    a = "+".join(f"q_{'x' * j}+p1_{'x' * j}" for j in range(1, 51))
+    b = "+".join(f"b_{'x' * j}+p2_{'x' * j}" for j in range(1, 51))
+    chain = f"({a})*({b})"
+    cases = [
+        ("(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b", 28, "product of 825 by 6 terms"),
+        (chain + "*q_x" * 200, len(chain) + 1, "product of 10000 by 1 terms"),
+    ]
+    for text, col, product in cases:
+        # a subprocess with a timeout, so a hang fails the test instead of stalling the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "varschouten", "degree", text],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"parse error: line 1, col {col}: "
+            f"{product} exceeds the expression's budget of 10000 term pairs\n"
+        )
 
 
 def test_domain_error_exit_code(capsys):

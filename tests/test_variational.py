@@ -37,7 +37,7 @@ from varschouten import (
     var_q,
 )
 
-from helpers import COPRIME_COEFFS, G11, G22, polynomials
+from helpers import COPRIME_COEFFS, G11, G22, G31, polynomials
 
 g = Geometry(1, 1, 2)
 
@@ -113,9 +113,11 @@ def test_horner_euler_matches_naive_sum(f):
             )
 
 
+@pytest.mark.parametrize("geo", [G22, G31], ids=["G22", "G31"])
 @settings(max_examples=25, deadline=None)
-@given(polynomials(G22))
-def test_horner_euler_matches_naive_sum_2d(f):
+@given(data=st.data())
+def test_horner_euler_matches_naive_sum_2d(geo, data):
+    f = data.draw(polynomials(geo))
     for kind, fiber, slot in sorted(f.families()):
         assert var_derivative(f, kind, fiber, slot) == naive_var(f, kind, fiber, slot)
 
@@ -146,10 +148,15 @@ def test_euler_annihilates_divergences(f):
     assert is_exact(f.total_derivative(1))
 
 
+@pytest.mark.parametrize("geo", [G22, G31], ids=["G22", "G31"])
 @settings(max_examples=25, deadline=None)
-@given(polynomials(G22), polynomials(G22))
-def test_euler_annihilates_divergences_2d(f, h):
-    assert is_exact(f.total_derivative(1) + h.total_derivative(2))
+@given(data=st.data())
+def test_euler_annihilates_divergences_2d(geo, data):
+    f, h = data.draw(polynomials(geo)), data.draw(polynomials(geo))
+    divergence = f.total_derivative(1) + h.total_derivative(geo.n)
+    if geo.n >= 3:
+        divergence = divergence + data.draw(polynomials(geo)).total_derivative(2)
+    assert is_exact(divergence)
 
 
 @settings(max_examples=40, deadline=None)
