@@ -1,0 +1,165 @@
+"""Alternating parent/change pairs of the benchmark, summarized in one JSON file.
+
+    python3 scripts/bench_pairs.py PARENT_SHA --pairs 10 --seconds 30 --out BENCH_9.json
+
+The parent is exported with `git archive PARENT_SHA`, and the change is the
+checkout as it stands (tracked files, and untracked ones that are not
+ignored), each into its own temporary directory.  Pair i runs
+`perfbench/run.py --seed i` once per side on every workload of
+BENCHMARK.json, one process at a time; which side goes first alternates from
+pair to pair.  For each workload and end-to-end metric the file records each
+side's runs, median and quartiles, and the pairs each side won (ties count
+for neither), next to both SHAs and the Python version.  The change's SHA is
+HEAD's; when the checkout has uncommitted edits, the file says so.  Either
+way it names the measured files by their git tree ids: change_tree for the
+whole exported checkout, change_src_tree for its src/ (the engine), which
+`git rev-parse COMMIT:src` matches on any commit carrying that engine.
+Without --out the JSON goes to stdout; progress goes to stderr.
+
+A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
+checks): some 25 minutes at the defaults, which is why Tier-1 does not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout
+
+
+def export_commit(sha: str, dest: Path) -> None:
+    tar = subprocess.run(
+        ["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def export_checkout(dest: Path) -> None:
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted in the checkout is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def checkout_tree() -> str:
+    """The git tree id of the files export_checkout copies, written through a
+    scratch index: neither the real index nor any ref moves."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp, "index"))}
+        for args in (["read-tree", "HEAD"], ["add", "--all"], ["write-tree"]):
+            out = subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                                 capture_output=True, text=True).stdout
+        return out.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark process; its last stdout line is the result object."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    sign = 1 if better == "higher" else -1
+    won = {
+        "parent": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "change": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+    }
+    p, c = summary(parent), summary(change)
+    return {"better": better, "parent": p, "change": c, "pairs_won": won,
+            "median_change": c["median"] / p["median"] - 1}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="git revision of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--out", help="file to write the JSON to, instead of stdout")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    shas = {"parent": git("rev-parse", f"{args.parent}^{{commit}}").strip(),
+            "change": git("rev-parse", "HEAD").strip()}
+    tree = checkout_tree()
+    results: dict = {w: {side: [] for side in SIDES} for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp, side) for side in SIDES}
+        export_commit(shas["parent"], trees["parent"])
+        export_checkout(trees["change"])
+        for i in range(1, args.pairs + 1):
+            for workload in workloads:
+                for side in SIDES if i % 2 else SIDES[::-1]:
+                    result = run_once(trees[side], workload, i, args.seconds)
+                    results[workload][side].append(result)
+                    rate = result["metrics"]["cases_per_s"]["value"]
+                    print(f"pair {i} {workload} {side}: {rate:.1f} cases/s", file=sys.stderr)
+
+    report = {
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
+        "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
+        "change_tree": tree,
+        "change_src_tree": git("rev-parse", f"{tree}:src").strip(),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seeds": list(range(1, args.pairs + 1)),
+        "workloads": {
+            w: {
+                "failed": {side: [r["failed"] for r in results[w][side]] for side in SIDES},
+                "attempted": {side: [r["attempted"] for r in results[w][side]] for side in SIDES},
+                "metrics": {
+                    name: compare(
+                        *([r["metrics"][name]["value"] for r in results[w][side]] for side in SIDES),
+                        better[name],
+                    )
+                    for name in better
+                },
+            }
+            for w in workloads
+        },
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,10 +10,16 @@ Everything downstream leans on the conventions fixed here:
   an even multiset, and a strictly sorted odd word.  The sign of the sorting
   permutation is absorbed into the coefficient; a repeated odd factor kills
   the monomial.
-* Variables are ordered by the tuple order of JetVariable, defined in one
-  place: (kind, covector slot, fiber, |sigma|, count row of sigma).  The row
-  is stored with trailing zeros trimmed, which compares like the zero-padded
-  row, so the order is stable under adding base dimensions.
+* Each jet variable is one int (JetVariable, an int subclass) with fixed bit
+  fields, from the top down: kind, covector slot, fiber, |sigma|, then one
+  _B-bit count per base dimension for _NMAX dimensions, dimension 1 most
+  significant.  Plain int order is therefore the canonical variable order
+  (kind, slot, fiber, |sigma|, count row of sigma), independent of n, and
+  D_i is code + _STEP[i].  Engine code reads the fields by shift and mask;
+  the decoded .index exists for the public API.  Limits: n <= 8, m and
+  s <= 4095, and at most 511 derivatives in one base dimension.  The top bit
+  of every count is a carry guard: a total derivative that would push a
+  count past 511 raises DomainError instead of wrapping into its neighbour.
 * Left partial with respect to an odd factor at 1-based position r of a
   length-k word carries (-1)^(r-1); the right partial carries (-1)^(k-r).
   _gradient is the one home of these signs: it is the only code that
@@ -21,7 +27,7 @@ Everything downstream leans on the conventions fixed here:
   operator and the field action all read their partials from it.
 * _derive_into, which adds +-D_i of a term dict into another, is the one
   Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
-  and the Euler operator (downward along the same prefixes) all use it.
+  and the Euler operator _euler (downward along the same prefixes) all use it.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -41,6 +47,16 @@ QKIND, PKIND, BKIND = 0, 1, 2
 LEFT, RIGHT = "left", "right"
 
 _KIND_TAG = {QKIND: "q", PKIND: "p", BKIND: "b"}
+
+# JetVariable bits (module docstring): _B per count, its top bit the carry guard; _W per field.
+_B, _NMAX, _W = 10, 8, 12
+_COUNT_MAX, _FIELD_MAX = (1 << _B - 1) - 1, (1 << _W) - 1
+_ORDER = _B * _NMAX
+_FIBER = _ORDER + _W  # v >> _FIBER is v's family (kind, slot, fiber)
+_SLOT, _KIND = _FIBER + _W, _FIBER + 2 * _W
+_INDEX = (1 << _FIBER) - 1  # |sigma| and the counts: the index bits
+_CARRY = sum(1 << _B * i + _B - 1 for i in range(_NMAX))
+_STEP = (0,) + tuple((1 << _ORDER) + (1 << _B * (_NMAX - d)) for d in range(1, _NMAX + 1))
 
 
 class EngineError(Exception):
@@ -70,6 +86,10 @@ class Geometry:
             raise DomainError("geometry needs at least one fiber component")
         if self.s < 0:
             raise DomainError("covector slot count cannot be negative")
+        if self.n > _NMAX:
+            raise DomainError(f"geometry allows at most {_NMAX} base dimensions")
+        if self.m > _FIELD_MAX or self.s > _FIELD_MAX:
+            raise DomainError(f"geometry allows at most {_FIELD_MAX} fibers and slots")
 
 
 class MultiIndex(NamedTuple):
@@ -95,18 +115,6 @@ class MultiIndex(NamedTuple):
         """Sparse form ((dim, count), ...) with dims ascending, counts >= 1."""
         return tuple((d, c) for d, c in enumerate(self.row, 1) if c)
 
-    def plus(self, dim: int) -> "MultiIndex":
-        row = self.row
-        if dim > len(row):
-            return MultiIndex(self.order + 1, row + (0,) * (dim - 1 - len(row)) + (1,))
-        return MultiIndex(self.order + 1, row[: dim - 1] + (row[dim - 1] + 1,) + row[dim:])
-
-    def minus(self, dim: int) -> "MultiIndex":
-        row = self.row
-        if not 1 <= dim <= len(row) or row[dim - 1] < 1:
-            raise DomainError(f"multi-index has no derivative in dimension {dim}")
-        return MultiIndex.from_row(row[: dim - 1] + (row[dim - 1] - 1,) + row[dim:])
-
 
 def midx(*dims: int) -> MultiIndex:
     """Multi-index from repeated dimension numbers: midx(1,1,2) = d/dx1 d/dx1 d/dx2."""
@@ -118,32 +126,65 @@ def midx(*dims: int) -> MultiIndex:
     return MultiIndex(len(dims), tuple(row))
 
 
-class _JetFields(NamedTuple):
-    kind: int
-    slot: int  # covector slot, 0 for fiber variables
-    fiber: int
-    index: MultiIndex
-
-
-class JetVariable(_JetFields):
+class JetVariable(int):
     """A jet coordinate, built as JetVariable(kind, fiber, index, slot=0).
 
-    The fields are stored as (kind, slot, fiber, index), so plain tuple order
-    is the canonical variable order: kind, covector slot, fiber, |sigma|,
-    then the count row.  Every sorted word and even factor list uses it.
+    It is one int in the bit layout of the module docstring, so plain int
+    order is the canonical variable order that every sorted word and even
+    factor list uses.  The fields decode as .kind, .slot, .fiber and .index.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: int, fiber: int, index: MultiIndex, slot: int = 0):
-        return tuple.__new__(cls, (kind, slot, fiber, index))
+        row = index.row
+        if kind not in _KIND_TAG or not (0 <= fiber <= _FIELD_MAX and 0 <= slot <= _FIELD_MAX):
+            raise DomainError(f"jet variable (kind {kind}, fiber {fiber}, slot {slot}) out of range")
+        if len(row) > _NMAX or row and not 0 <= min(row) <= max(row) <= _COUNT_MAX:
+            raise DomainError(f"multi-index {row} exceeds {_NMAX} dimensions or {_COUNT_MAX} per dimension")
+        code = ((kind << _W | slot) << _W | fiber) << _W | sum(row)
+        for c in row:
+            code = code << _B | c
+        return int.__new__(cls, code << _B * (_NMAX - len(row)))
 
     def __getnewargs__(self):
         return self.kind, self.fiber, self.index, self.slot
 
-    def shifted(self, dim: int) -> "JetVariable":
-        kind, slot, fiber, index = self
-        return tuple.__new__(JetVariable, (kind, slot, fiber, index.plus(dim)))
+    def __repr__(self) -> str:
+        return f"JetVariable{self.__getnewargs__()}"
+
+    kind = property(lambda v: v >> _KIND)
+    slot = property(lambda v: v >> _SLOT & _FIELD_MAX)
+    fiber = property(lambda v: v >> _FIBER & _FIELD_MAX)
+    index = property(lambda v: MultiIndex.from_row([_count(v, d) for d in range(1, _NMAX + 1)]))
+
+
+def _count(v: int, dim: int) -> int:
+    """The derivative count of a variable or index bits in base dimension dim."""
+    return v >> _B * (_NMAX - dim) & _COUNT_MAX
+
+
+def _last_dim(ix: int) -> int:
+    """The last base dimension with a derivative: the lowest nonzero count."""
+    return _NMAX - ((ix & -ix).bit_length() - 1) // _B
+
+
+def _family(kind: int, fiber: int, slot: int = 0) -> int:
+    """The code v >> _FIBER shared by every variable of one family."""
+    return (kind << _W | slot) << _W | fiber
+
+
+def _with_slot(v: int, kind: int, slot: int = 0) -> JetVariable:
+    """v with its kind and covector slot replaced; fiber and index are kept."""
+    return int.__new__(JetVariable, v & (1 << _SLOT) - 1 | kind << _KIND | slot << _SLOT)
+
+
+def _shift(v: int, step: int) -> JetVariable:
+    """v moved by step = +-_STEP[i]: the total derivative D_i of one variable, or its inverse."""
+    w = v + step
+    if w & _CARRY:
+        raise DomainError(f"jet order exceeds {_COUNT_MAX} derivatives in one base dimension")
+    return int.__new__(JetVariable, w)
 
 
 def qvar(fiber: int = 1, *dims: int) -> JetVariable:
@@ -286,6 +327,7 @@ def _gradient(terms: dict, side: str = LEFT) -> dict:
 
 def _derive_into(out: dict, terms: dict, dim: int, sign: int = 1) -> None:
     """Add sign * D_dim(terms) into the term dict out, by the Leibniz rule."""
+    step = _STEP[dim]
     for m, c in terms.items():
         c = c if sign > 0 else -c
         base, even, odd = m
@@ -295,26 +337,25 @@ def _derive_into(out: dict, terms: dict, dim: int, sign: int = 1) -> None:
                 _add_term(out, Monomial(rest, even, odd), c * e if e > 1 else c)
         for t, (v, e) in enumerate(even):
             rest = even[:t] + (((v, e - 1),) if e > 1 else ()) + even[t + 1 :]
-            shifted = _insert_power(rest, v.shifted(dim))
+            shifted = _insert_power(rest, _shift(v, step))
             _add_term(out, Monomial(base, shifted, odd), c * e if e > 1 else c)
         for t, v in enumerate(odd):
-            flip, word = _sort_word([*odd[:t], v.shifted(dim), *odd[t + 1 :]])
+            flip, word = _sort_word([*odd[:t], _shift(v, step), *odd[t + 1 :]])
             if flip:
                 _add_term(out, Monomial(base, even, word), c if flip > 0 else -c)
 
 
 def _check_var(v: JetVariable, g: Geometry) -> None:
-    if not 1 <= v.fiber <= g.m:
-        raise DomainError(f"fiber index {v.fiber} outside geometry bounds (m={g.m})")
-    if v.kind == PKIND:
-        if not 1 <= v.slot <= g.s:
-            raise DomainError(f"covector slot {v.slot} outside geometry bounds (s={g.s})")
-    elif v.slot != 0:
+    fiber, slot = v >> _FIBER & _FIELD_MAX, v >> _SLOT & _FIELD_MAX
+    if not 1 <= fiber <= g.m:
+        raise DomainError(f"fiber index {fiber} outside geometry bounds (m={g.m})")
+    if v >> _KIND == PKIND:
+        if not 1 <= slot <= g.s:
+            raise DomainError(f"covector slot {slot} outside geometry bounds (s={g.s})")
+    elif slot != 0:
         raise DomainError("fiber variables carry no covector slot")
-    if len(v.index.row) > g.n:
-        raise DomainError(
-            f"base dimension {len(v.index.row)} outside geometry bounds (n={g.n})"
-        )
+    if v & (1 << _B * (_NMAX - g.n)) - 1:
+        raise DomainError(f"base dimension {_last_dim(v)} outside geometry bounds (n={g.n})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +379,7 @@ class DiffPolynomial:
     @staticmethod
     def variable(g: Geometry, v: JetVariable) -> "DiffPolynomial":
         _check_var(v, g)
-        if v.kind == BKIND:
+        if v >> _KIND == BKIND:
             return DiffPolynomial(g, {Monomial((), (), (v,)): Fraction(1)})
         return DiffPolynomial(g, {Monomial((), ((v, 1),), ()): Fraction(1)})
 
@@ -464,7 +505,7 @@ class DiffPolynomial:
         return {v.slot for v in self.jet_variables() if v.kind == PKIND}
 
     def max_order(self) -> int:
-        return max((v.index.order for v in self.jet_variables()), default=0)
+        return max((v >> _ORDER & _FIELD_MAX for v in self.jet_variables()), default=0)
 
     # -- substitutions --------------------------------------------------------
 
@@ -490,8 +531,7 @@ class DiffPolynomial:
                 drop = {pos - 1 for pos, _ in hit}
                 even = m.even
                 for pos, slot in hit:
-                    v = m.odd[pos - 1]
-                    even = _insert_power(even, JetVariable(PKIND, v.fiber, v.index, slot))
+                    even = _insert_power(even, _with_slot(m.odd[pos - 1], PKIND, slot))
                 word = tuple(v for i, v in enumerate(m.odd) if i not in drop)
                 mono = Monomial(m.base, even, word)
             _add_term(out, mono, c)
@@ -514,14 +554,14 @@ class DiffPolynomial:
             self._same_geometry(sec)
             if any(m.b_degree % 2 for m in sec.terms):
                 raise DomainError("slot substitution needs even sections")
-        jets = [{MultiIndex(): sec.terms} for sec in sections]
+        jets = [{0: sec.terms} for sec in sections]
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             kept: list = []
             reps: list[dict] = []
             for v, e in m.even:
-                if v.kind == PKIND and v.slot == slot:
-                    reps.extend([_jet(jets[v.fiber - 1], v.index)] * e)
+                if v >> _SLOT == PKIND << _W | slot:
+                    reps.extend([_jet(jets[(v >> _FIBER & _FIELD_MAX) - 1], v & _INDEX)] * e)
                 else:
                     kept.append((v, e))
             piece = {Monomial(m.base, tuple(kept), m.odd): c}
@@ -541,15 +581,40 @@ def _integral(p: DiffPolynomial) -> tuple[DiffPolynomial, int]:
     return DiffPolynomial(p.geometry, terms), den
 
 
-def _jet(jets: dict, ix: MultiIndex) -> dict:
-    """D_ix of the term dict stored at jets[MultiIndex()], memoized by prefixes:
-    D_sigma = D_d D_{sigma - d}, with d the last dimension of sigma."""
+def _jet(jets: dict, ix: int) -> dict:
+    """D_sigma of the term dict at jets[0], for sigma given by its index bits ix,
+    memoized by prefixes: D_sigma = D_d D_{sigma - d}, d the last dimension of sigma."""
     got = jets.get(ix)
     if got is None:
-        d = len(ix.row)
+        d = _last_dim(ix)
         jets[ix] = got = {}
-        _derive_into(got, _jet(jets, ix.minus(d)), d)
+        _derive_into(got, _jet(jets, ix - _STEP[d]), d)
     return got
+
+
+def _by_family(grad: dict) -> dict:
+    """A gradient's parts as {family code: {index bits: term dict}}, in grad's order."""
+    out: dict = {}
+    for v, part in grad.items():
+        out.setdefault(v >> _FIBER, {})[v & _INDEX] = part
+    return out
+
+
+def _euler(parts: dict) -> dict:
+    """sum_sigma (-D)_sigma parts[sigma] for one family's parts {index bits: term dict}:
+    down the prefix tree of _jet, highest order first, the part at sigma moves to
+    sigma - e_last as -D_last of itself (Horner's scheme).  Consumes parts and its dicts."""
+    for order in range(max((ix >> _ORDER for ix in parts), default=0), 0, -1):
+        for ix in [ix for ix in parts if ix >> _ORDER == order]:
+            d = _last_dim(ix)
+            _derive_into(parts.setdefault(ix - _STEP[d], {}), parts.pop(ix), d, -1)
+    return parts.get(0, {})
+
+
+def _lower_first(v: int) -> tuple[int, JetVariable] | None:
+    """(d, w) with v = D_d w, d the first base dimension v is derived in; None if v is underived."""
+    d = _NMAX - ((v & (1 << _ORDER) - 1).bit_length() - 1) // _B  # the highest nonzero count
+    return (d, _shift(v, -_STEP[d])) if v & _INDEX else None
 
 
 def monomial(
@@ -574,12 +639,12 @@ def monomial(
     ev: tuple = ()
     for v in even:
         _check_var(v, g)
-        if v.kind == BKIND:
+        if v >> _KIND == BKIND:
             raise DomainError("odd variable passed as even factor")
         ev = _insert_power(ev, v)
     for v in odd:
         _check_var(v, g)
-        if v.kind != BKIND:
+        if v >> _KIND != BKIND:
             raise DomainError("even variable passed as odd factor")
     sign, word = _sort_word(list(odd))
     if sign == 0:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DiffPolynomial, bvar, monomial, pvar, qvar
+from .algebra import QKIND, DiffPolynomial, _gradient, bvar, monomial, pvar, qvar
 from .multivector import Multivector, evaluate, iota, multivector
 from .printing import format_polynomial
 from .randgen import GeneratorConfig, random_density, random_multivector
@@ -28,7 +28,7 @@ from .schouten import (
     q_field,
     schouten_density,
 )
-from .variational import Functional, equivalent, is_exact, var_q
+from .variational import Functional, _euler_fibers, equivalent, is_exact
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def _remark1_holds(h: Multivector, xi: Multivector) -> bool:
     """[[H, xi]](p) is 2 xi(delta H, p) as classes, for a 0-vector H, 2-vector xi."""
     g = h.geometry
     lhs = iota(bracket_poisson(h, xi).representative.density, 1)
-    grad = tuple(var_q(h.density, a) for a in range(1, g.m + 1))
-    rhs = evaluate(xi, (2, 1)).density.substitute_slot(2, grad)
+    delta_h = _euler_fibers(_gradient(h.density.terms), g, QKIND)
+    rhs = evaluate(xi, (2, 1)).density.substitute_slot(2, delta_h)
     return equivalent(lhs, rhs.scaled(2))
 
 

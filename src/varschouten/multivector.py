@@ -31,9 +31,11 @@ from .algebra import (
     JetVariable,
     Monomial,
     _add_term,
+    _gradient,
     _sort_word,
+    _with_slot,
 )
-from .variational import Functional, equivalent, is_exact, var_b
+from .variational import Functional, _euler_fibers, equivalent, is_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +158,7 @@ def extract_operator(xi: Multivector) -> tuple[DiffPolynomial, ...]:
     if xi.degree < 1:
         raise DomainError("a 0-vector carries no operator")
     k = Fraction(1, xi.degree)
-    g = xi.geometry
-    return tuple(var_b(xi.density, a).scaled(k) for a in range(1, g.m + 1))
+    return tuple(op.scaled(k) for op in _euler_fibers(_gradient(xi.density.terms), xi.geometry, BKIND))
 
 
 def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
@@ -183,7 +184,7 @@ def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
                 pos = order[v.slot]
                 if letters[pos] is not None:
                     raise DomainError("slot appears twice in one monomial")
-                letters[pos] = JetVariable(BKIND, v.fiber, v.index)
+                letters[pos] = _with_slot(v, BKIND)
             else:
                 kept.append((v, e))
         if any(x is None for x in letters):

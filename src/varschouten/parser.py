@@ -70,7 +70,8 @@ _KINDS = {"q": QKIND, "b": BKIND}
 # exponent cap keeps `q^99999999999` from multiplying without end; the budget
 # of term pairs per expression (a few tens of milliseconds of work) keeps a
 # small exponent on a long sum, or a long chain of products, from doing so; a
-# jet order per base dimension fits in six bits.
+# jet order per base dimension of 63 stays eight times below the 511 of the
+# jet-variable layout, room for the total derivatives the engine takes itself.
 _MAX_NESTING = 100
 _MAX_EXPONENT = 64
 _MAX_PARSE_PAIRS = 10_000

@@ -1,27 +1,29 @@
 """Deterministic pretty-printing, plain text and LaTeX.
 
 Terms are sorted by b-degree, then odd word, even factors and base powers,
-with variables compared in the tuple order of JetVariable: the same order
-the algebra stores words and factors in.  Odd factors are stored ascending
-with the reordering sign folded into the coefficient; for display, a term
-whose coefficient is negative is shown with its odd word reversed whenever
-the reversal is an odd permutation, so e.g. the canonical -2*x^3*b*b_xxx
-prints as 2*x^3*b_xxx*b.  parse(print(f)) returns f either way.
+with variables compared as the ints they are: int order of JetVariable is
+the canonical variable order (kind, slot, fiber, |sigma|, count row), the
+same order the algebra stores words and factors in, and so the printed order.
+Derivative suffixes read the counts with algebra._count.  Odd factors are
+stored ascending with the reordering sign folded into the coefficient; for
+display, a term whose coefficient is negative is shown with its odd word
+reversed whenever the reversal is an odd permutation, so e.g. the canonical
+-2*x^3*b*b_xxx prints as 2*x^3*b_xxx*b.  parse(print(f)) returns f either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import BKIND, QKIND, DiffPolynomial, JetVariable, Monomial
+from .algebra import BKIND, QKIND, DiffPolynomial, JetVariable, Monomial, _count
 
 
 def _suffix_plain(v: JetVariable, n: int) -> str:
-    if v.index.order == 0:
-        return ""
     if n == 1:
-        return "_" + "x" * v.index.order
-    return "_" + "".join(f"x{dim}" * count for dim, count in v.index.counts)
+        suffix = "x" * _count(v, 1)
+    else:
+        suffix = "".join(f"x{dim}" * _count(v, dim) for dim in range(1, n + 1))
+    return "_" + suffix if suffix else ""
 
 
 def _var_plain(v: JetVariable, g) -> str:
@@ -35,11 +37,9 @@ def _var_plain(v: JetVariable, g) -> str:
 
 
 def _suffix_latex(v: JetVariable, n: int) -> str:
-    if v.index.order == 0:
-        return ""
     if n == 1:
-        return "x" * v.index.order
-    return "".join(f"x_{{{dim}}}" * count for dim, count in v.index.counts)
+        return "x" * _count(v, 1)
+    return "".join(f"x_{{{dim}}}" * _count(v, dim) for dim in range(1, n + 1))
 
 
 def _var_latex(v: JetVariable, g) -> str:

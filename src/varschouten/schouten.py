@@ -46,15 +46,16 @@ from .algebra import (
     DiffPolynomial,
     DomainError,
     Geometry,
-    MultiIndex,
     _add_term,
+    _by_family,
+    _family,
     _gradient,
     _integral,
     _jet,
     _mul_into,
 )
 from .multivector import Multivector, _iota_sum, from_slots
-from .variational import Functional, _euler, is_exact
+from .variational import Functional, _euler_fibers, is_exact
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,15 @@ def _apply_into(out: dict, f: DiffPolynomial, q_sections, b_sections) -> None:
     into the term dict out, for both kinds from one gradient of f; each jet
     D_sigma(sec) is built once, from a shorter one.
     """
-    grad = _gradient(f.terms)
+    parts = _by_family(_gradient(f.terms))
     for kind, sections in ((QKIND, q_sections), (BKIND, b_sections)):
         for alpha, sec in enumerate(sections, 1):
             if sec.is_zero:
                 continue
             f._same_geometry(sec)
-            jets = {MultiIndex(): sec.terms}
-            for v, part in grad.items():
-                if v.kind == kind and v.fiber == alpha:
-                    _mul_into(out, _jet(jets, v.index), part)
+            jets = {0: sec.terms}
+            for ix, part in parts.get(_family(kind, alpha), {}).items():
+                _mul_into(out, _jet(jets, ix), part)
 
 
 def evolutionary_field(
@@ -123,9 +123,8 @@ def q_field(xi: Multivector) -> EvolutionaryField:
     """The field Q^xi with q-sections -rdelta xi/delta b and b-sections rdelta xi/delta q."""
     g = xi.geometry
     grad = _gradient(xi.density.terms, RIGHT)  # q-partials do not depend on the side
-    qs = tuple(-DiffPolynomial(g, _euler(grad, BKIND, a, 0)) for a in range(1, g.m + 1))
-    bs = tuple(DiffPolynomial(g, _euler(grad, QKIND, a, 0)) for a in range(1, g.m + 1))
-    return EvolutionaryField(qs, bs, (xi.degree - 1) % 2)
+    qs = tuple(-sec for sec in _euler_fibers(grad, g, BKIND))
+    return EvolutionaryField(qs, _euler_fibers(grad, g, QKIND), (xi.degree - 1) % 2)
 
 
 def graded_commutator(
@@ -165,11 +164,12 @@ def schouten_density(f: DiffPolynomial, g: DiffPolynomial) -> DiffPolynomial:
         raise DomainError("bracket arguments live over different geometries")
     geo = f.geometry
     right, left = _gradient(f.terms, RIGHT), _gradient(g.terms)
+    rq, rb = _euler_fibers(right, geo, QKIND), _euler_fibers(right, geo, BKIND)
+    lq, lb = _euler_fibers(left, geo, QKIND), _euler_fibers(left, geo, BKIND)
     out: dict = {}
-    for alpha in range(1, geo.m + 1):
-        _mul_into(out, _euler(right, QKIND, alpha, 0), _euler(left, BKIND, alpha, 0))
-        minus_b = {m: -c for m, c in _euler(right, BKIND, alpha, 0).items()}
-        _mul_into(out, minus_b, _euler(left, QKIND, alpha, 0))
+    for a in range(geo.m):
+        _mul_into(out, rq[a].terms, lb[a].terms)
+        _mul_into(out, {m: -c for m, c in rb[a].terms.items()}, lq[a].terms)
     return DiffPolynomial(geo, out)
 
 
@@ -203,9 +203,7 @@ def bracket_via_q(xi: Multivector, eta: Multivector) -> BracketReport:
 
 
 def _section_of(onevec: DiffPolynomial) -> tuple[DiffPolynomial, ...]:
-    g = onevec.geometry
-    grad = _gradient(onevec.terms)
-    return tuple(DiffPolynomial(g, _euler(grad, BKIND, a, 0)) for a in range(1, g.m + 1))
+    return _euler_fibers(_gradient(onevec.terms), onevec.geometry, BKIND)
 
 
 def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:

@@ -27,11 +27,14 @@ from .algebra import (
     Geometry,
     GeometryMismatch,
     Monomial,
-    MultiIndex,
     _add_term,
+    _by_family,
     _derive_into,
+    _euler,
+    _family,
     _gradient,
     _integral,
+    _lower_first,
 )
 
 
@@ -39,22 +42,14 @@ def var_derivative(
     f: DiffPolynomial, kind: int, fiber: int, slot: int = 0, side: str = LEFT
 ) -> DiffPolynomial:
     """Euler operator of one variable family, read from f's gradient."""
-    return DiffPolynomial(f.geometry, _euler(_gradient(f.terms, side), kind, fiber, slot))
+    parts = _by_family(_gradient(f.terms, side)).get(_family(kind, fiber, slot), {})
+    return DiffPolynomial(f.geometry, _euler(parts))
 
 
-def _euler(grad: dict, kind: int, fiber: int, slot: int) -> dict:
-    """sum_sigma (-D)_sigma grad[u_sigma] over the family u = (kind, fiber, slot):
-    down the prefix tree of the jet memo, highest order first, the part at sigma
-    moves to sigma - e_d (d the last dimension of sigma) as -D_d of itself.
-    Horner's scheme in every dimension.  Consumes grad's dicts of the family.
-    """
-    family = (kind, slot, fiber)
-    parts = {v.index: part for v, part in grad.items() if v[:3] == family}
-    for order in range(max((ix.order for ix in parts), default=0), 0, -1):
-        for ix in [ix for ix in parts if ix.order == order]:
-            d = len(ix.row)
-            _derive_into(parts.setdefault(ix.minus(d), {}), parts.pop(ix), d, -1)
-    return parts.get(MultiIndex(), {})
+def _euler_fibers(grad: dict, g: Geometry, kind: int) -> tuple[DiffPolynomial, ...]:
+    """delta/delta u^a for a = 1..m, u the q or b family of kind, all read from one gradient."""
+    parts = _by_family(grad)
+    return tuple(DiffPolynomial(g, _euler(parts.get(_family(kind, a), {}))) for a in range(1, g.m + 1))
 
 
 def var_q(f: DiffPolynomial, fiber: int) -> DiffPolynomial:
@@ -74,9 +69,8 @@ def is_exact(f: DiffPolynomial) -> bool:
     """True iff f is a total divergence (plus a pure base-variable part);
     decided on f with its denominators cleared, which keeps the verdict."""
     f = _integral(f)[0]
-    grad = _gradient(f.terms, LEFT)  # for odd families the right Euler operator is +-(left)
-    families = sorted({(v.kind, v.fiber, v.slot) for v in grad})
-    return not any(_euler(grad, *family) for family in families)
+    parts = _by_family(_gradient(f.terms, LEFT))  # the right Euler operator is +-(left)
+    return not any(_euler(parts[family]) for family in sorted(parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +139,12 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
             raise DomainError("bA-form normalization failed to terminate")
         nxt: dict[Monomial, int] = {}
         for m, c in terms.items():
-            w = m.odd[0]
-            if not w.index.order:
+            low = _lower_first(m.odd[0])
+            if low is None:
                 _add_term(done, m, c)
                 continue
-            dim = w.index.counts[0][0]
-            lowered = m._replace(odd=(w._replace(index=w.index.minus(dim)),) + m.odd[1:])
+            dim, w = low
+            lowered = m._replace(odd=(w,) + m.odd[1:])
             _add_term(nxt, m, c)
             _derive_into(nxt, {lowered: c}, dim, -1)
         terms = nxt

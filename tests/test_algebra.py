@@ -19,6 +19,7 @@ from varschouten import (
     DomainError,
     Geometry,
     JetVariable,
+    MultiIndex,
     BKIND,
     LEFT,
     PKIND,
@@ -35,6 +36,7 @@ from varschouten import (
 from helpers import (
     G11,
     G22,
+    G31,
     BladeModel,
     polynomials,
     reference_order,
@@ -101,7 +103,7 @@ def _with_slots(draw, geo):
     return f + h * monomial(geo, 1, even=draw(st.lists(_slot_variables(geo), max_size=3)))
 
 
-@pytest.mark.parametrize("geo", [G11, G22], ids=["1d", "2d"])
+@pytest.mark.parametrize("geo", [G11, G22, G31], ids=["1d", "2d", "3d"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tuple_order_is_the_reference_order(geo, data):
@@ -197,6 +199,58 @@ def test_geometry_bounds_enforced():
         monomial(g, 1, even=[pvar(3, 1)])  # slot 3 with s=2
     with pytest.raises(DomainError):
         Geometry(0, 1, 1)
+
+
+def test_layout_limits_are_domain_errors():
+    Geometry(8, 4095, 4095)
+    for n, m, s in ((9, 1, 1), (1, 4096, 1), (1, 1, 4096)):
+        with pytest.raises(DomainError):
+            Geometry(n, m, s)
+    JetVariable(PKIND, 4095, midx(*[8] * 511), 4095)
+    for args in (
+        (3, 1, midx()),  # no such kind
+        (QKIND, 4096, midx()),
+        (QKIND, -1, midx()),
+        (PKIND, 1, midx(), 4096),
+        (QKIND, 1, midx(*[2] * 512)),  # count past 511
+        (QKIND, 1, midx(9)),  # a ninth base dimension
+        (QKIND, 1, MultiIndex(-1, (-1,))),
+    ):
+        with pytest.raises(DomainError):
+            JetVariable(*args)
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_total_derivative_past_the_count_limit_raises(dim):
+    g8 = Geometry(8, 1, 1)
+    other = 9 - dim
+    for v in (qvar(1, *[dim] * 511), bvar(1, *[dim] * 511), pvar(1, 1, *[dim] * 511)):
+        f = DiffPolynomial.variable(g8, v)
+        with pytest.raises(DomainError, match="511"):
+            f.total_derivative(dim)
+        lifted = f.total_derivative(other)  # the other counts still have room
+        ((mono, _),) = lifted.terms.items()
+        (w,) = mono.odd or [u for u, _ in mono.even]
+        assert w.index == midx(*[dim] * 511, other)
+
+
+def test_orders_up_to_the_count_limit_work():
+    g8 = Geometry(8, 1, 1)
+    dims = [d for d in range(1, 9) for _ in range(510)]
+    f = DiffPolynomial.variable(g8, bvar(1, *dims))
+    for d in range(1, 9):
+        f = f.total_derivative(d)
+    ((mono, c),) = f.terms.items()
+    (top,) = mono.odd
+    assert c == 1
+    assert top.index == midx(*dims, *range(1, 9))
+    assert top.index.order == 8 * 511
+    assert top.kind == BKIND and top.fiber == 1 and top.slot == 0
+    assert f.partial(top, LEFT) == DiffPolynomial.const(g8, 1)
+    # the order of the layout still holds at the limit
+    vs = [top, bvar(1, *[1] * 511), bvar(1, *[8] * 511), bvar(1, 1, *[8] * 510)]
+    vs += [qvar(1, 8), pvar(1, 1)]
+    assert sorted(vs) == sorted(vs, key=reference_order(8))
 
 
 def test_repeated_base_dimensions_merge():

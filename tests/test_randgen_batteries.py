@@ -76,6 +76,14 @@ def test_batteries_pass_at_small_case_counts():
         assert report.wall_time > 0
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("geo", [Geometry(2, 2, 3), Geometry(3, 1, 3)], ids=["2,2,3", "3,1,3"])
+def test_definitions_agree_at_higher_base_dimension(geo, seed):
+    report = battery_definitions_agree(GeneratorConfig(geometry=geo, seed=seed, max_order=2), 10)
+    assert report.cases == 10
+    assert report.failures == ()
+
+
 def test_definitions_agree_checks_the_rebuilt_bracket(monkeypatch):
     # the inserted values stay right; only the b-form rebuilt from them flips sign
     real = schouten.from_slots

@@ -39,6 +39,8 @@ def test_session_happy_path():
         ("let xi = q", "line 1, col 1: geometry must be declared before other lines"),
         ("geometry 1 1", "line 1, col 1: expected: geometry <n> <m> <s>"),
         ("geometry 0 1 2", "line 1, col 1: bad geometry: geometry needs at least one base dimension"),
+        ("geometry 9 1 1", "line 1, col 1: bad geometry: geometry allows at most 8 base dimensions"),
+        ("geometry 1 4096 1", "line 1, col 1: bad geometry: geometry allows at most 4095 fibers and slots"),
         ("geometry 1 1 4\nfrob xi = q", "line 2, col 1: unknown declaration 'frob'"),
         ("geometry 1 1 4\nlet q2 = q", "line 2, col 5: name 'q2' shadows a variable token"),
         ("geometry 1 1 4\nlet b_x = q", "line 2, col 5: name 'b_x' shadows a variable token"),
@@ -215,6 +217,9 @@ def test_geometry_flag(capsys):
     code, _, err = run_cli(capsys, "degree", "--geometry", "2,2", "q1")
     assert code == 3
     assert "takes n,m,s" in err
+    code, _, err = run_cli(capsys, "degree", "--geometry", "9,1,1", "q_x1")
+    assert code == 3
+    assert err == "error: geometry allows at most 8 base dimensions\n"
 
 
 def test_session_file_flag(tmp_path, capsys):
