@@ -6,10 +6,11 @@ Everything downstream leans on the conventions fixed here:
   jets b_{alpha,sigma} (anticommuting, squares vanish), and even covector-slot
   jets p^(j)_{alpha,sigma}.  Slot variables have zero partial derivative with
   respect to every q-jet; total derivatives shift all three families alike.
-* Monomials are kept canonical: rational coefficient, base-variable powers,
-  an even multiset, and a strictly sorted odd word.  The sign of the sorting
-  permutation is absorbed into the coefficient; a repeated odd factor kills
-  the monomial.
+* Monomials are kept canonical: a rational coefficient and three sorted
+  tuples, one entry per factor, so a power repeats its factor (x1^2*x2 is
+  base (1, 1, 2), q^2*q_x is even (q, q, q_x)).  The odd word is strictly
+  sorted: the sign of the sorting permutation is absorbed into the
+  coefficient, and a repeated odd factor kills the monomial.
 * Each jet variable is one int (JetVariable, an int subclass) with fixed bit
   fields, from the top down: kind, covector slot, fiber, |sigma|, then one
   _B-bit count per base dimension for _NMAX dimensions, dimension 1 most
@@ -37,7 +38,6 @@ operations keep ints int, and scaled divides once and returns Fractions).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -255,30 +255,10 @@ def _merge_odd(a: tuple, b: tuple) -> tuple[int, tuple]:
     return sign, tuple(out)
 
 
-def _merge_powers(a: tuple, b: tuple) -> tuple:
-    """Merge sorted (key, exponent) tuples of base powers or even factors, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for k, e in b:
-        out[k] = out.get(k, 0) + e
-    return tuple(sorted(out.items()))
-
-
-def _insert_power(powers: tuple, v) -> tuple:
-    """Multiply sorted (key, exponent) powers by one more factor v."""
-    i = bisect_left(powers, (v,))
-    if i < len(powers) and powers[i][0] == v:
-        return powers[:i] + ((v, powers[i][1] + 1),) + powers[i + 1 :]
-    return powers[:i] + ((v, 1),) + powers[i:]
-
-
 class Monomial(NamedTuple):
-    base: tuple[tuple[int, int], ...]  # (dim, exponent), dims ascending
-    even: tuple[tuple[JetVariable, int], ...]  # (variable, exponent), variables ascending
-    odd: tuple[JetVariable, ...]  # strictly ascending
+    base: tuple[int, ...]  # base dimensions, ascending, one entry per power
+    even: tuple[JetVariable, ...]  # even variables, ascending, one entry per power
+    odd: tuple[JetVariable, ...]  # odd variables, strictly ascending
 
     @property
     def b_degree(self) -> int:
@@ -292,7 +272,7 @@ def _mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
     sign, odd = _merge_odd(a.odd, b.odd)
     if sign == 0:
         return None
-    return sign, Monomial(_merge_powers(a.base, b.base), _merge_powers(a.even, b.even), odd)
+    return sign, Monomial(tuple(sorted(a.base + b.base)), tuple(sorted(a.even + b.even)), odd)
 
 
 def _mul_into(out: dict, left: dict, right: dict) -> None:
@@ -308,16 +288,16 @@ def _mul_into(out: dict, left: dict, right: dict) -> None:
 def _gradient(terms: dict, side: str = LEFT) -> dict:
     """Every nonzero partial derivative of a term dict, as {JetVariable: term dict}.
 
-    One scan differentiates each monomial by each of its factors: even ones by
-    the power rule, odd ones with the left or right sign of the module docstring.
-    A monomial is fixed by its partial and the variable, so nothing cancels.
+    One scan differentiates each monomial by each of its factors: an even
+    power v^e yields the same rest e times, summed to e*c (the power rule), and
+    odd factors take the left or right sign of the module docstring.  A
+    monomial is fixed by its partial and the variable, so nothing cancels.
     """
     grad: dict = {}
     for m, c in terms.items():
         base, even, odd = m
-        for t, (v, e) in enumerate(even):
-            rest = Monomial(base, even[:t] + (((v, e - 1),) if e > 1 else ()) + even[t + 1 :], odd)
-            grad.setdefault(v, {})[rest] = c * e if e > 1 else c
+        for t, v in enumerate(even):
+            _add_term(grad.setdefault(v, {}), Monomial(base, even[:t] + even[t + 1 :], odd), c)
         for i, v in enumerate(odd):
             flips = i if side == LEFT else len(odd) - 1 - i
             rest = Monomial(base, even, odd[:i] + odd[i + 1 :])
@@ -331,14 +311,12 @@ def _derive_into(out: dict, terms: dict, dim: int, sign: int = 1) -> None:
     for m, c in terms.items():
         c = c if sign > 0 else -c
         base, even, odd = m
-        for t, (d, e) in enumerate(base):
+        for t, d in enumerate(base):
             if d == dim:
-                rest = base[:t] + (((d, e - 1),) if e > 1 else ()) + base[t + 1 :]
-                _add_term(out, Monomial(rest, even, odd), c * e if e > 1 else c)
-        for t, (v, e) in enumerate(even):
-            rest = even[:t] + (((v, e - 1),) if e > 1 else ()) + even[t + 1 :]
-            shifted = _insert_power(rest, _shift(v, step))
-            _add_term(out, Monomial(base, shifted, odd), c * e if e > 1 else c)
+                _add_term(out, Monomial(base[:t] + base[t + 1 :], even, odd), c)
+        for t, v in enumerate(even):
+            shifted = tuple(sorted((*even[:t], _shift(v, step), *even[t + 1 :])))
+            _add_term(out, Monomial(base, shifted, odd), c)
         for t, v in enumerate(odd):
             flip, word = _sort_word([*odd[:t], _shift(v, step), *odd[t + 1 :]])
             if flip:
@@ -381,7 +359,7 @@ class DiffPolynomial:
         _check_var(v, g)
         if v >> _KIND == BKIND:
             return DiffPolynomial(g, {Monomial((), (), (v,)): Fraction(1)})
-        return DiffPolynomial(g, {Monomial((), ((v, 1),), ()): Fraction(1)})
+        return DiffPolynomial(g, {Monomial((), (v,), ()): Fraction(1)})
 
     @staticmethod
     def base(g: Geometry, dim: int, exponent: int = 1) -> "DiffPolynomial":
@@ -391,7 +369,7 @@ class DiffPolynomial:
             raise DomainError("negative base exponent")
         if exponent == 0:
             return DiffPolynomial.const(g, 1)
-        return DiffPolynomial(g, {Monomial(((dim, exponent),), (), ()): Fraction(1)})
+        return DiffPolynomial(g, {Monomial((dim,) * exponent, (), ()): Fraction(1)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -488,7 +466,7 @@ class DiffPolynomial:
     def jet_variables(self) -> Iterator[JetVariable]:
         seen: set[JetVariable] = set()
         for m in self.terms:
-            for v, _ in m.even:
+            for v in m.even:
                 if v not in seen:
                     seen.add(v)
                     yield v
@@ -529,11 +507,9 @@ class DiffPolynomial:
                 mono = m
             else:
                 drop = {pos - 1 for pos, _ in hit}
-                even = m.even
-                for pos, slot in hit:
-                    even = _insert_power(even, _with_slot(m.odd[pos - 1], PKIND, slot))
+                slots = [_with_slot(m.odd[pos - 1], PKIND, slot) for pos, slot in hit]
                 word = tuple(v for i, v in enumerate(m.odd) if i not in drop)
-                mono = Monomial(m.base, even, word)
+                mono = Monomial(m.base, tuple(sorted([*m.even, *slots])), word)
             _add_term(out, mono, c)
         return DiffPolynomial(g, out)
 
@@ -559,11 +535,11 @@ class DiffPolynomial:
         for m, c in self.terms.items():
             kept: list = []
             reps: list[dict] = []
-            for v, e in m.even:
+            for v in m.even:
                 if v >> _SLOT == PKIND << _W | slot:
-                    reps.extend([_jet(jets[(v >> _FIBER & _FIELD_MAX) - 1], v & _INDEX)] * e)
+                    reps.append(_jet(jets[(v >> _FIBER & _FIELD_MAX) - 1], v & _INDEX))
                 else:
-                    kept.append((v, e))
+                    kept.append(v)
             piece = {Monomial(m.base, tuple(kept), m.odd): c}
             for rep in reps:
                 product: dict = {}
@@ -629,19 +605,17 @@ def monomial(
     c = Fraction(coeff)
     if c == 0:
         return DiffPolynomial.zero(g)
-    powers: tuple = ()
+    powers: list[int] = []
     for d, e in base:
         if not 1 <= d <= g.n:
             raise DomainError(f"base dimension {d} outside geometry bounds (n={g.n})")
         if e < 1:
             raise DomainError("base exponents must be positive")
-        powers = _merge_powers(powers, ((d, e),))
-    ev: tuple = ()
+        powers += [d] * e
     for v in even:
         _check_var(v, g)
         if v >> _KIND == BKIND:
             raise DomainError("odd variable passed as even factor")
-        ev = _insert_power(ev, v)
     for v in odd:
         _check_var(v, g)
         if v >> _KIND != BKIND:
@@ -649,5 +623,5 @@ def monomial(
     sign, word = _sort_word(list(odd))
     if sign == 0:
         return DiffPolynomial.zero(g)
-    mono = Monomial(powers, ev, word)
+    mono = Monomial(tuple(sorted(powers)), tuple(sorted(even)), word)
     return DiffPolynomial(g, {mono: c if sign > 0 else -c})

@@ -164,9 +164,10 @@ def extract_operator(xi: Multivector) -> tuple[DiffPolynomial, ...]:
 def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
     """Invert evaluation: slot-j covector variables become the j-th odd letter.
 
-    Each monomial must carry exactly one variable of every listed slot, to
-    first power.  The odd word is built in slot order and canonicalized; this
-    map commutes with total derivatives, so classes go to classes.
+    Each monomial must carry exactly one variable of every listed slot (a
+    square counts as two).  The odd word is built in slot order and
+    canonicalized; this map commutes with total derivatives, so classes go to
+    classes.
     """
     density = f.density if isinstance(f, Functional) else f
     g = density.geometry
@@ -177,16 +178,14 @@ def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
     for m, c in density.terms.items():
         letters: list[JetVariable | None] = [None] * len(slots)
         kept = []
-        for v, e in m.even:
+        for v in m.even:
             if v.kind == PKIND and v.slot in order:
-                if e != 1:
-                    raise DomainError("slot variable appears squared; not an evaluation image")
                 pos = order[v.slot]
                 if letters[pos] is not None:
                     raise DomainError("slot appears twice in one monomial")
                 letters[pos] = _with_slot(v, BKIND)
             else:
-                kept.append((v, e))
+                kept.append(v)
         if any(x is None for x in letters):
             raise DomainError("monomial missing a covector slot; not an evaluation image")
         if m.odd:

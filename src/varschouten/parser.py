@@ -6,9 +6,10 @@ suffixes like `b_x1x2` stay unambiguous); a factor is a rational literal,
 a variable token, a bound name, or a parenthesized expression, optionally
 raised to a nonnegative integer power with `^`.  Exponents above 64,
 parentheses nested more than 100 deep, more than 63 derivatives in one base
-dimension of a jet token, and products that together multiply more than
-10000 term pairs in one expression (each `*`, and each step of a `^`, spends
-the product of its operands' term counts) are parse errors.
+dimension of a jet token, a product whose terms could carry more than 1024
+factors, counted with multiplicity, and products that together multiply
+more than 10000 term pairs in one expression (each `*`, and each step of a
+`^`, spends the product of its operands' term counts) are parse errors.
 
 Variable tokens:
     x           the base variable (n = 1), or x1..xn for n > 1
@@ -24,6 +25,7 @@ canonicalizes to zero rather than erroring.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -72,10 +74,13 @@ _KINDS = {"q": QKIND, "b": BKIND}
 # small exponent on a long sum, or a long chain of products, from doing so; a
 # jet order per base dimension of 63 stays eight times below the 511 of the
 # jet-variable layout, room for the total derivatives the engine takes itself.
+# A monomial stores one entry per factor, so nested powers such as
+# ((q^64)^64)^64 are capped by the number of factors in one term.
 _MAX_NESTING = 100
 _MAX_EXPONENT = 64
 _MAX_PARSE_PAIRS = 10_000
 _MAX_JET_ORDER = 63
+_MAX_FACTORS = 1024
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -114,15 +119,29 @@ def _parse_suffix(suffix: str, g: Geometry) -> tuple[int, ...] | None:
     return dims
 
 
+def _factors(p: DiffPolynomial) -> int:
+    """The most factors, counted with multiplicity, in one term of p."""
+    return max([len(b) + len(e) + len(o) for b, e, o in p.terms]) if p.terms else 0
+
+
+@dataclass
+class _Budget:
+    """Term pairs still to multiply, and whose budget they are: one expression's,
+    or a whole session file's, shared by its `let` lines."""
+
+    owner: str = "expression"
+    pairs_left: int = _MAX_PARSE_PAIRS
+
+
 class _ExprParser:
-    def __init__(self, text: str, geometry: Geometry, names=None):
+    def __init__(self, text: str, geometry: Geometry, names=None, budget: _Budget | None = None):
         self.text = text
         self.g = geometry
         self.names = names or {}
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0
-        self.pairs_left = _MAX_PARSE_PAIRS
+        self.budget = budget or _Budget()
 
     def _err(self, message: str, pos: int | None = None):
         if pos is None:
@@ -160,11 +179,18 @@ class _ExprParser:
         return value
 
     def _product(self, a: DiffPolynomial, b: DiffPolynomial, op: Token) -> DiffPolynomial:
-        self.pairs_left -= len(a.terms) * len(b.terms)
-        if self.pairs_left < 0:
+        self.budget.pairs_left -= len(a.terms) * len(b.terms)
+        if self.budget.pairs_left < 0:
             self._err(
-                f"product of {len(a.terms)} by {len(b.terms)} terms exceeds the expression's "
-                f"budget of {_MAX_PARSE_PAIRS} term pairs",
+                f"product of {len(a.terms)} by {len(b.terms)} terms exceeds the "
+                f"{self.budget.owner}'s budget of {_MAX_PARSE_PAIRS} term pairs",
+                op.pos,
+            )
+        fa, fb = _factors(a), _factors(b)
+        if fa + fb > _MAX_FACTORS:
+            self._err(
+                f"product of terms with {fa} and {fb} factors exceeds the limit of "
+                f"{_MAX_FACTORS} factors in one term",
                 op.pos,
             )
         return a * b
@@ -293,6 +319,10 @@ class _ExprParser:
 
 
 def parse_polynomial(
-    text: str, geometry: Geometry, names: dict[str, DiffPolynomial] | None = None
+    text: str,
+    geometry: Geometry,
+    names: dict[str, DiffPolynomial] | None = None,
+    budget: _Budget | None = None,
 ) -> DiffPolynomial:
-    return _ExprParser(text, geometry, names).parse()
+    """Parse one expression; budget defaults to a fresh one for this expression."""
+    return _ExprParser(text, geometry, names, budget).parse()

@@ -1,9 +1,12 @@
 """Deterministic pretty-printing, plain text and LaTeX.
 
-Terms are sorted by b-degree, then odd word, even factors and base powers,
+Terms are sorted by b-degree, then odd word, even powers and base powers,
 with variables compared as the ints they are: int order of JetVariable is
 the canonical variable order (kind, slot, fiber, |sigma|, count row), the
 same order the algebra stores words and factors in, and so the printed order.
+The algebra stores a power as a run of equal factors; each run prints as one
+power (q*q*q_x as q^2*q_x), and the sort key compares (factor, exponent)
+pairs, so q*q_x*b sorts before q^2*b.
 Derivative suffixes read the counts with algebra._count.  Odd factors are
 stored ascending with the reordering sign folded into the coefficient; for
 display, a term whose coefficient is negative is shown with its odd word
@@ -14,6 +17,7 @@ reversed whenever the reversal is an odd permutation, so e.g. the canonical
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .algebra import BKIND, QKIND, DiffPolynomial, JetVariable, Monomial, _count
 
@@ -77,16 +81,22 @@ def _display_word(coeff: Fraction, odd: tuple) -> tuple[Fraction, tuple]:
     return coeff, odd
 
 
-def _term_pieces(m: Monomial, g, latex: bool) -> list[str]:
+def _powers(factors: tuple) -> tuple:
+    """A sorted factor tuple as (factor, exponent) pairs, one per run."""
+    return tuple([(v, len(list(run))) for v, run in groupby(factors)]) if factors else ()
+
+
+def _term_pieces(base: tuple, even: tuple, g, latex: bool) -> list[str]:
+    """Base and even factors of a term, from their (factor, exponent) pairs."""
     pieces = []
-    for dim, power in m.base:
+    for dim, power in base:
         name = "x" if g.n == 1 else (f"x_{{{dim}}}" if latex else f"x{dim}")
         if power == 1:
             pieces.append(name)
         else:
             pieces.append(f"{name}^{{{power}}}" if latex else f"{name}^{power}")
     fmt = _var_latex if latex else _var_plain
-    for v, count in m.even:
+    for v, count in even:
         name = fmt(v, g)
         if count == 1:
             pieces.append(name)
@@ -96,7 +106,7 @@ def _term_pieces(m: Monomial, g, latex: bool) -> list[str]:
 
 
 def _mono_key(m: Monomial):
-    return (m.b_degree, m.odd, m.even, m.base)
+    return (m.b_degree, m.odd, _powers(m.even), _powers(m.base))
 
 
 def format_polynomial(f: DiffPolynomial, latex: bool = False) -> str:
@@ -107,9 +117,9 @@ def format_polynomial(f: DiffPolynomial, latex: bool = False) -> str:
     fmt_var = _var_latex if latex else _var_plain
     fmt_coeff = _coeff_latex if latex else _coeff_plain
     out = []
-    for m in sorted(f.terms, key=_mono_key):
+    for (_, _, even, base), m in sorted([(_mono_key(m), m) for m in f.terms]):
         coeff, odd = _display_word(f.terms[m], m.odd)
-        pieces = _term_pieces(m, g, latex) + [fmt_var(v, g) for v in odd]
+        pieces = _term_pieces(base, even, g, latex) + [fmt_var(v, g) for v in odd]
         mag = fmt_coeff(abs(coeff))
         if not pieces:
             body = mag

@@ -9,7 +9,9 @@ Format, one declaration per line, `#` starts a comment:
 
 The geometry line must appear exactly once and before any let/slot line;
 every name must be declared before use.  Names that would shadow a variable
-token (q2, b_x, p1, x, ...) are rejected.
+token (q2, b_x, p1, x, ...) are rejected.  The `let` lines of one file share
+one budget of term pairs (10000, as for one expression), so a file of many large
+`let`s is refused as early as one large expression would be.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import DiffPolynomial, EngineError, Geometry
-from .parser import ParseError, _ExprParser, parse_polynomial
+from .parser import ParseError, _Budget, _ExprParser, parse_polynomial
 
 
 @dataclass
@@ -42,6 +44,7 @@ def _shadows_builtin(name: str, g: Geometry) -> bool:
 
 def load_session(text: str) -> Session:
     session = None
+    budget = _Budget("session file")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -62,7 +65,7 @@ def load_session(text: str) -> Session:
         if session is None:
             raise ParseError("geometry must be declared before other lines", lineno, 1)
         if head == "let":
-            _load_let(session, line, lineno)
+            _load_let(session, line, lineno, budget)
         elif head == "slot":
             _load_slot(session, line, lineno)
         else:
@@ -79,7 +82,7 @@ def _split_binding(line: str, lineno: int, what: str) -> tuple[str, str, int]:
     return m.group(1), line[m.end() :], m.end() + 1
 
 
-def _load_let(session: Session, line: str, lineno: int):
+def _load_let(session: Session, line: str, lineno: int, budget: _Budget):
     name, expr, col0 = _split_binding(line, lineno, "let")
     if not _NAME_RE.match(name):
         raise ParseError(f"bad name {name!r}", lineno, 5)
@@ -88,7 +91,7 @@ def _load_let(session: Session, line: str, lineno: int):
     if _shadows_builtin(name, session.geometry):
         raise ParseError(f"name {name!r} shadows a variable token", lineno, 5)
     try:
-        session.names[name] = parse_polynomial(expr, session.geometry, session.names)
+        session.names[name] = parse_polynomial(expr, session.geometry, session.names, budget)
     except ParseError as pe:
         raise ParseError(pe.message, lineno, col0 + pe.col - 1) from None
 

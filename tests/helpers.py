@@ -63,7 +63,7 @@ class BladeModel:
         out: dict = {}
         for m, c in f.terms.items():
             sign, mask = self.word_sign_mask(m.odd)
-            key = (frozenset(m.base), frozenset(m.even), mask)
+            key = (frozenset(Counter(m.base).items()), frozenset(Counter(m.even).items()), mask)
             val = out.get(key, Fraction(0)) + sign * c
             if val:
                 out[key] = val

@@ -172,6 +172,8 @@ def test_from_slots_rejects_non_evaluation_images():
     with pytest.raises(DomainError):
         from_slots(poly((1, [], [pvar(1, 1), pvar(1, 1)], [])), (1,))
     with pytest.raises(DomainError):
+        from_slots(poly((1, [], [pvar(1, 1), pvar(1, 1, 1)], [])), (1,))
+    with pytest.raises(DomainError):
         from_slots(poly((1, [], [pvar(1, 1)], [])), (1, 2))
     with pytest.raises(DomainError):
         from_slots(poly((1, [], [pvar(1, 1)], [bvar(1)])), (1,))

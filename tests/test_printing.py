@@ -13,6 +13,7 @@ from varschouten import (
     bvar,
     format_polynomial,
     monomial,
+    parse_polynomial,
     pvar,
     qvar,
 )
@@ -90,3 +91,11 @@ def test_latex_of_third_order_bracket_value():
         format_polynomial(f, latex=True)
         == r"12\,x\,b_{x}\,b + 6\,x^{2}\,b_{xx}\,b + 2\,x^{3}\,b_{xxx}\,b"
     )
+
+
+def test_powers_sort_by_exponent_pairs_not_by_repeated_factors():
+    # a run of equal factors prints as a power and sorts as a (factor, exponent)
+    # pair, so q*q_x1*b comes before q^2*b, and x1*x2*b before x1^2*b
+    g212 = Geometry(2, 1, 2)
+    f = parse_polynomial("q_x1*q*b + q^2*b + x1^2*b + x1*x2*b + q^2*q_x2 + q*q_x1^2", g212)
+    assert format_polynomial(f) == "q*q_x1^2 + q^2*q_x2 + x1*x2*b + x1^2*b + q*q_x1*b + q^2*b"

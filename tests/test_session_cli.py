@@ -70,6 +70,21 @@ def test_session_names_must_be_declared_before_use():
     assert info.value.line == 2
 
 
+def test_session_lets_share_one_parse_budget():
+    # each `let` multiplies 60 by 100 terms, 6000 pairs: one fits, two do not
+    a = "+".join(f"q_{'x' * j}" for j in range(1, 61))
+    b = "+".join(f"b_{'x' * j}+p1_{'x' * j}" for j in range(1, 51))
+    let = f"({a})*({b})"
+    assert len(load_session(f"geometry 1 1 4\nlet f = {let}\n").names["f"].terms) == 6000
+    second = f"let h = {let}"
+    with pytest.raises(ParseError) as info:
+        load_session(f"geometry 1 1 4\nlet f = {let}\n{second}\n")
+    assert str(info.value) == (
+        f"line 3, col {second.index(')*(') + 2}: product of 60 by 100 terms "
+        "exceeds the session file's budget of 10000 term pairs"
+    )
+
+
 # -- command-line front end -----------------------------------------------------
 
 
@@ -177,6 +192,19 @@ def test_hostile_input_is_a_parse_error(capsys):
     code, out, err = run_cli(capsys, "degree", "q^99999999999")
     assert (code, out) == (2, "")
     assert err == "parse error: line 1, col 3: exponent 99999999999 exceeds the limit 64\n"
+
+
+def test_nested_powers_are_capped_by_factors_per_term(capsys):
+    # one monomial stores one entry per factor, so ((q^64)^64)^64 would carry 262144
+    assert run_cli(capsys, "degree", "(q^64)^16*b_x") == (2, "", (
+        "parse error: line 1, col 10: product of terms with 1024 and 1 factors "
+        "exceeds the limit of 1024 factors in one term\n"
+    ))
+    assert run_cli(capsys, "degree", "((q^64)^64)^64*b") == (2, "", (
+        "parse error: line 1, col 8: product of terms with 1024 and 64 factors "
+        "exceeds the limit of 1024 factors in one term\n"
+    ))
+    assert run_cli(capsys, "degree", "(q^64)^15*x^63*b") == (0, "degree 1\nclass nonzero\n", "")
 
 
 def test_long_sum_to_a_small_power_is_refused_quickly():
