@@ -9,7 +9,11 @@ ignored), each into its own temporary directory.  Pair i runs
 BENCHMARK.json, one process at a time; which side goes first alternates from
 pair to pair.  For each workload and end-to-end metric the file records each
 side's runs, median and quartiles, and the pairs each side won (ties count
-for neither), next to both SHAs and the Python version.  The change's SHA is
+for neither), next to both SHAs and the Python version.  After the pairs,
+each side runs `perfbench/run.py --trace 1 --seed 1` once per workload, and
+the file records every per-layer metric of those runs under
+"per_layer": {workload: {metric: {"parent": v, "change": v}}}, so that it shows
+in which layer a change of the end-to-end metrics sits.  The change's SHA is
 HEAD's; when the checkout has uncommitted edits, the file says so.  Either
 way it names the measured files by their git tree ids: change_tree for the
 whole exported checkout, change_src_tree for its src/ (the engine), which
@@ -17,7 +21,8 @@ whole exported checkout, change_src_tree for its src/ (the engine), which
 Without --out the JSON goes to stdout; progress goes to stderr.
 
 A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
-checks): some 25 minutes at the defaults, which is why Tier-1 does not run it.
+checks), plus a few seconds per traced run: some 25 minutes at the defaults,
+which is why Tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -72,10 +77,9 @@ def checkout_tree() -> str:
         return out.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark process; its last stdout line is the result object."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(tree: Path, workload: str, seed: int, *options: str) -> dict:
+    """One benchmark process; its last stdout line is the result object."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *options]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -111,6 +115,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    per_layer = [m["name"] for m in spec["per_layer"]]
     shas = {"parent": git("rev-parse", f"{args.parent}^{{commit}}").strip(),
             "change": git("rev-parse", "HEAD").strip()}
     tree = checkout_tree()
@@ -122,10 +127,13 @@ def main(argv=None) -> int:
         for i in range(1, args.pairs + 1):
             for workload in workloads:
                 for side in SIDES if i % 2 else SIDES[::-1]:
-                    result = run_once(trees[side], workload, i, args.seconds)
+                    result = run_once(trees[side], workload, i, "--seconds", str(args.seconds))
                     results[workload][side].append(result)
                     rate = result["metrics"]["cases_per_s"]["value"]
                     print(f"pair {i} {workload} {side}: {rate:.1f} cases/s", file=sys.stderr)
+        layers = {w: {side: run_once(trees[side], w, 1, "--trace", "1")["metrics"] for side in SIDES}
+                  for w in workloads}
+        print("traced runs done", file=sys.stderr)
 
     report = {
         "parent_sha": shas["parent"],
@@ -150,6 +158,10 @@ def main(argv=None) -> int:
                     for name in better
                 },
             }
+            for w in workloads
+        },
+        "per_layer": {
+            w: {name: {side: layers[w][side][name]["value"] for side in SIDES} for name in per_layer}
             for w in workloads
         },
     }

@@ -38,6 +38,7 @@ operations keep ints int, and scaled divides once and returns Fractions).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -289,15 +290,19 @@ def _gradient(terms: dict, side: str = LEFT) -> dict:
     """Every nonzero partial derivative of a term dict, as {JetVariable: term dict}.
 
     One scan differentiates each monomial by each of its factors: an even
-    power v^e yields the same rest e times, summed to e*c (the power rule), and
-    odd factors take the left or right sign of the module docstring.  A
-    monomial is fixed by its partial and the variable, so nothing cancels.
+    power v^e, a run of e equal entries, is differentiated once at its first
+    entry, with e*c (the power rule), and odd factors take the left or right
+    sign of the module docstring.  A monomial is fixed by its partial and the
+    variable, so nothing cancels.
     """
     grad: dict = {}
     for m, c in terms.items():
         base, even, odd = m
         for t, v in enumerate(even):
-            _add_term(grad.setdefault(v, {}), Monomial(base, even[:t] + even[t + 1 :], odd), c)
+            if t and v == even[t - 1]:
+                continue
+            e = bisect_right(even, v, t) - t
+            grad.setdefault(v, {})[Monomial(base, even[:t] + even[t + 1 :], odd)] = c if e == 1 else e * c
         for i, v in enumerate(odd):
             flips = i if side == LEFT else len(odd) - 1 - i
             rest = Monomial(base, even, odd[:i] + odd[i + 1 :])
@@ -306,17 +311,24 @@ def _gradient(terms: dict, side: str = LEFT) -> dict:
 
 
 def _derive_into(out: dict, terms: dict, dim: int, sign: int = 1) -> None:
-    """Add sign * D_dim(terms) into the term dict out, by the Leibniz rule."""
+    """Add sign * D_dim(terms) into the term dict out, by the Leibniz rule.
+
+    A power (a run of e equal base or even entries) is derived once, with e*c.
+    """
     step = _STEP[dim]
     for m, c in terms.items():
         c = c if sign > 0 else -c
         base, even, odd = m
-        for t, d in enumerate(base):
-            if d == dim:
-                _add_term(out, Monomial(base[:t] + base[t + 1 :], even, odd), c)
+        t = bisect_left(base, dim)
+        e = bisect_right(base, dim, t) - t
+        if e:
+            _add_term(out, Monomial(base[:t] + base[t + 1 :], even, odd), c if e == 1 else e * c)
         for t, v in enumerate(even):
+            if t and v == even[t - 1]:
+                continue
+            e = bisect_right(even, v, t) - t
             shifted = tuple(sorted((*even[:t], _shift(v, step), *even[t + 1 :])))
-            _add_term(out, Monomial(base, shifted, odd), c)
+            _add_term(out, Monomial(base, shifted, odd), c if e == 1 else e * c)
         for t, v in enumerate(odd):
             flip, word = _sort_word([*odd[:t], _shift(v, step), *odd[t + 1 :]])
             if flip:

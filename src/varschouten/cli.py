@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import DomainError, EngineError, Geometry
@@ -25,7 +26,13 @@ from .variational import equivalent, is_exact, normalize_to_bA_form
 _MAX_SELFTEST_CASES = 1000
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call and reused by every later one.
+
+    parse_args leaves the parser as it was: each call gets a fresh Namespace,
+    and argparse looks up sys.stdout and sys.stderr when it prints.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--geometry", metavar="n,m,s", help="base dim, fiber dim, covector slots")
     common.add_argument("--file", metavar="SESSION", help="session file with geometry and lets")

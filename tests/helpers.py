@@ -11,10 +11,14 @@ naive_apply and reference_inserted are the evolutionary-field action and
 the bracket's insertion recursion written the plain way: every jet of a
 section transported from scratch, and every recursion node building its
 polynomial with scaled and +.
+
+with_alarm runs a callable under a wall-clock alarm, so that a hang or a
+slow path fails its test instead of stalling the suite.
 """
 
 from __future__ import annotations
 
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -33,6 +37,32 @@ from varschouten import (
     monomial,
     var_b,
 )
+
+
+def with_alarm(run, seconds: int):
+    """run(), failing with TimeoutError once it has taken `seconds` of wall time.
+
+    The alarm's error is raised again here, naming the function it stopped:
+    the stopped frame can sit at an instruction with no line number, whose
+    traceback pytest fails to render.
+    """
+    stopped = []
+
+    def on_alarm(signum, frame):
+        stopped.append(f"{frame.f_code.co_name} ({frame.f_code.co_filename})")
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        return run()
+    except TimeoutError:
+        if not stopped:
+            raise
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    raise TimeoutError(f"ran past {seconds} s, stopped in {stopped[0]}")
 
 
 class BladeModel:

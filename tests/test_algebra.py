@@ -43,6 +43,7 @@ from helpers import (
     reference_order,
     total_derivative_multi,
     variables,
+    with_alarm,
 )
 
 g = Geometry(1, 1, 2)
@@ -258,6 +259,28 @@ def test_repeated_base_dimensions_merge():
     built = monomial(g, 1, base=[(1, 1), (1, 1)])
     assert built == DiffPolynomial.base(g, 1, 2)
     assert built == parse_polynomial("x*x", g)
+
+
+def test_powers_differentiate_in_linear_time():
+    """A power v^e is e equal entries; it is derived once, not once per entry."""
+    e = 20000
+    q, q_x, q_xx = qvar(1), qvar(1, 1), qvar(1, 1, 1)
+    x_power = DiffPolynomial.base(g, 1, e) * DiffPolynomial.variable(g, q)
+    q_x_power = monomial(g, even=[q_x] * e)
+    results = with_alarm(
+        lambda: (x_power.total_derivative(1), q_x_power.total_derivative(1), q_x_power.partial(q_x)), 2
+    )
+    assert results == (
+        monomial(g, e, base=[(1, e - 1)], even=[q]) + monomial(g, base=[(1, e)], even=[q_x]),
+        monomial(g, e, even=[q_x] * (e - 1) + [q_xx]),
+        monomial(g, e, even=[q_x] * (e - 1)),
+    )
+    # each run of a mixed monomial keeps its own weight
+    mixed = monomial(g, even=[q, q, q_x, q_x, q_x])
+    assert mixed.total_derivative(1) == poly(
+        (2, (), [q] + [q_x] * 4, ()), (3, (), [q, q, q_x, q_x, q_xx], ())
+    )
+    assert mixed.partial(q_x) == monomial(g, 3, even=[q, q, q_x, q_x])
 
 
 def test_mixed_geometry_arithmetic_rejected():

@@ -3,17 +3,22 @@
 Short strings (at most 40 characters) are drawn from the tokens of the input
 language.  parse_polynomial may raise only ParseError or EngineError; every
 subcommand except selftest must return, or leave argparse, with an exit code
-in {0, 1, 2, 3}.  Each example runs under an alarm, and the whole test under a
-fixed wall-clock limit, so a hang fails the test instead of stalling the suite.
+in {0, 1, 2, 3}; some command lines read their polynomials from the `let`
+lines of a session file.  Each example runs under an alarm, and the whole test
+under a fixed wall-clock limit, so a hang fails the test instead of stalling
+the suite.
 """
 
-import signal
+import tempfile
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from varschouten import EngineError, Geometry, ParseError, parse_polynomial
 from varschouten.cli import main
+
+from helpers import with_alarm
 
 ATOMS = [
     "q", "b", "x", "q_x", "b_x", "q_xx", "b_xxx", "p1", "p2_x", "p9", "q2", "x1",
@@ -40,29 +45,16 @@ COMMANDS = {
     "poisson-check": "p", "qfield": "p",
 }
 SLOTS = st.sampled_from(["1", "2", "4", "0", "5", "x", "-1"])
+GEOMETRIES = st.sampled_from([Geometry(1, 1, 4), Geometry(2, 2, 3), Geometry(1, 2, 4), Geometry(3, 1, 3)])
 EXAMPLE_SECONDS = 10
 TEST_SECONDS = 120
 
 
-def _on_alarm(signum, frame):
-    raise TimeoutError(f"one example ran past {EXAMPLE_SECONDS} s")
-
-
-def _with_alarm(run):
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.alarm(EXAMPLE_SECONDS)
-    try:
-        return run()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @settings(max_examples=300, deadline=None)
-@given(TEXTS, st.sampled_from([Geometry(1, 1, 4), Geometry(2, 2, 3)]))
+@given(TEXTS, GEOMETRIES)
 def _fuzz_parser(text, g):
     try:
-        _with_alarm(lambda: parse_polynomial(text, g))
+        with_alarm(lambda: parse_polynomial(text, g), EXAMPLE_SECONDS)
     except (ParseError, EngineError):
         pass
 
@@ -71,13 +63,24 @@ def _fuzz_parser(text, g):
 @given(st.data())
 def _fuzz_cli(data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
-    argv = [command, "--geometry", data.draw(st.sampled_from(["1,1,4", "2,2,3"])), "--"]
-    for shape in COMMANDS[command]:
-        argv.append(data.draw(TEXTS if shape == "p" else SLOTS))
-    try:
-        code = _with_alarm(lambda: main(argv))
-    except SystemExit as exc:  # argparse refuses its input
-        code = exc.code
+    g = data.draw(GEOMETRIES)
+    args = [data.draw(TEXTS if shape == "p" else SLOTS) for shape in COMMANDS[command]]
+    options = ["--geometry", f"{g.n},{g.m},{g.s}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.integers(0, 3)) == 3:  # the polynomials as lets of a session file
+            lets = [f"geometry {g.n} {g.m} {g.s}"]
+            for i, shape in enumerate(COMMANDS[command]):
+                if shape == "p":
+                    lets.append(f"let f{i} = {args[i]}")
+                    args[i] = f"f{i}"
+            session = Path(tmp, "fuzz.session")
+            session.write_text("\n".join(lets) + "\n", encoding="utf-8")
+            options += ["--file", str(session)]
+        argv = [command, *options, "--", *args]
+        try:
+            code = with_alarm(lambda: main(argv), EXAMPLE_SECONDS)
+        except SystemExit as exc:  # argparse refuses its input
+            code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from varschouten import Geometry, ParseError, load_session
+from varschouten import Geometry, ParseError, cli, load_session
 from varschouten.cli import main
 
 
@@ -301,3 +301,35 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
         0, "degree 2\nclass nonzero\n"
     )
     assert run_cli(capsys, "insert", "b*b_x", "1") == (0, "1/2*p1_x*b - 1/2*p1*b_x\n", "")
+
+
+def _exit_output(capsys, *argv):
+    """(exit code, stdout, stderr) of a main() call that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys):
+    for _ in range(2):
+        assert run_cli(capsys, "degree", "b*b_x") == (0, "degree 2\nclass nonzero\n", "")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bracket", "b*b_x"]], ids=["help", "usage-error"])
+def test_shared_parser_prints_the_same_bytes_each_time(capsys, argv):
+    first = _exit_output(capsys, *argv)
+    assert run_cli(capsys, "degree", "b*b_x") == (0, "degree 2\nclass nonzero\n", "")
+    assert _exit_output(capsys, *argv) == first
+    code, out, err = first
+    if argv == ["--help"]:
+        assert (code, err) == (0, "") and out.startswith("usage: varschouten")
+    else:
+        assert (code, out) == (2, "") and err.endswith("the following arguments are required: eta\n")
+
+
+def test_an_argument_with_a_leading_minus_follows_double_dash(capsys):
+    assert run_cli(capsys, "bracket", "--", "b*b_x", "-q*b") == (0, "degree 2\n2*b*b_x\n", "")
+    # without "--" argparse reads "-q*b" as an unknown option and misses eta
+    assert _exit_output(capsys, "bracket", "b*b_x", "-q*b")[0] == 2
