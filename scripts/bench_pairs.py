@@ -9,7 +9,10 @@ ignored), each into its own temporary directory.  Pair i runs
 BENCHMARK.json, one process at a time; which side goes first alternates from
 pair to pair.  For each workload and end-to-end metric the file records each
 side's runs, median and quartiles, and the pairs each side won (ties count
-for neither), next to both SHAs and the Python version.  After the pairs,
+for neither), next to both SHAs and the Python version.  It also records
+"pair_ratio": the median and quartiles of the per-pair ratios change/parent.
+The two runs of a pair are minutes apart, so the ratios cancel the machine's
+slower drift, which the medians of the two sides do not.  After the pairs,
 each side runs `perfbench/run.py --trace 1 --seed 1` once per workload, and
 the file records every per-layer metric of those runs under
 "per_layer": {workload: {metric: {"parent": v, "change": v}}}, so that it shows
@@ -98,8 +101,9 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "change": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
     }
     p, c = summary(parent), summary(change)
+    ratio = summary([b / a for a, b in zip(parent, change)])
     return {"better": better, "parent": p, "change": c, "pairs_won": won,
-            "median_change": c["median"] / p["median"] - 1}
+            "median_change": c["median"] / p["median"] - 1, "pair_ratio": ratio}
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,8 @@ Everything downstream leans on the conventions fixed here:
   tuples, one entry per factor, so a power repeats its factor (x1^2*x2 is
   base (1, 1, 2), q^2*q_x is even (q, q, q_x)).  The odd word is strictly
   sorted: the sign of the sorting permutation is absorbed into the
-  coefficient, and a repeated odd factor kills the monomial.
+  coefficient, and a repeated odd factor kills the monomial.  _sort_word is
+  the one home of that sign: products, D_i and the monomial builder use it.
 * Each jet variable is one int (JetVariable, an int subclass) with fixed bit
   fields, from the top down: kind, covector slot, fiber, |sigma|, then one
   _B-bit count per base dimension for _NMAX dimensions, dimension 1 most
@@ -29,6 +30,7 @@ Everything downstream leans on the conventions fixed here:
 * _derive_into, which adds +-D_i of a term dict into another, is the one
   Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
   and the Euler operator _euler (downward along the same prefixes) all use it.
+  _jet is the one D_sigma: slot substitution and the bA form read theirs from it.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -228,34 +230,6 @@ def _sort_word(word: list) -> tuple[int, tuple]:
     return sign, tuple(word)
 
 
-def _merge_odd(a: tuple, b: tuple) -> tuple[int, tuple]:
-    """Merge two sorted odd words; sign counts the cross inversions, 0 on a repeat."""
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out: list[JetVariable] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    sign = 1
-    while i < la and j < lb:
-        va, vb = a[i], b[j]
-        if va == vb:
-            return 0, ()
-        if va < vb:
-            out.append(va)
-            i += 1
-        else:
-            # b[j] jumps over the remaining la - i factors of a
-            if (la - i) % 2:
-                sign = -sign
-            out.append(vb)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 class Monomial(NamedTuple):
     base: tuple[int, ...]  # base dimensions, ascending, one entry per power
     even: tuple[JetVariable, ...]  # even variables, ascending, one entry per power
@@ -270,7 +244,7 @@ _ONE_MONO = Monomial((), (), ())
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-    sign, odd = _merge_odd(a.odd, b.odd)
+    sign, odd = _sort_word([*a.odd, *b.odd]) if a.odd and b.odd else (1, a.odd or b.odd)
     if sign == 0:
         return None
     return sign, Monomial(tuple(sorted(a.base + b.base)), tuple(sorted(a.even + b.even)), odd)
@@ -599,10 +573,10 @@ def _euler(parts: dict) -> dict:
     return parts.get(0, {})
 
 
-def _lower_first(v: int) -> tuple[int, JetVariable] | None:
-    """(d, w) with v = D_d w, d the first base dimension v is derived in; None if v is underived."""
-    d = _NMAX - ((v & (1 << _ORDER) - 1).bit_length() - 1) // _B  # the highest nonzero count
-    return (d, _shift(v, -_STEP[d])) if v & _INDEX else None
+def _split_jet(v: int) -> tuple[JetVariable, int, int]:
+    """(u, ix, |sigma|) with v = D_sigma(u): u underived, ix the index bits of sigma (_jet's key)."""
+    ix = v & _INDEX
+    return int.__new__(JetVariable, v - ix), ix, ix >> _ORDER
 
 
 def monomial(

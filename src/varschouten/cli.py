@@ -88,8 +88,12 @@ def _environment(args) -> Session:
     """Geometry and name bindings for this invocation."""
     session = None
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            session = load_session(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        session = load_session(text)
     if args.geometry:
         parts = args.geometry.split(",")
         if len(parts) != 3:

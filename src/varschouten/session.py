@@ -75,21 +75,23 @@ def load_session(text: str) -> Session:
     return session
 
 
-def _split_binding(line: str, lineno: int, what: str) -> tuple[str, str, int]:
+def _binding(session: Session, line: str, lineno: int, what: str) -> tuple[str, str, int]:
+    """Split `what <name> = <rest>` and check the name: (name, rest, column of rest)."""
     m = re.match(rf"{what}\s+([^=\s]+)\s*=\s*", line)
     if m is None:
         raise ParseError(f"expected: {what} <name> = <...>", lineno, 1)
-    return m.group(1), line[m.end() :], m.end() + 1
+    name, col = m.group(1), m.start(1) + 1
+    if not _NAME_RE.match(name):
+        raise ParseError(f"bad name {name!r}", lineno, col)
+    if name in session.names or name in session.slots:
+        raise ParseError(f"name {name!r} already declared", lineno, col)
+    if _shadows_builtin(name, session.geometry):
+        raise ParseError(f"name {name!r} shadows a variable token", lineno, col)
+    return name, line[m.end() :], m.end() + 1
 
 
 def _load_let(session: Session, line: str, lineno: int, budget: _Budget):
-    name, expr, col0 = _split_binding(line, lineno, "let")
-    if not _NAME_RE.match(name):
-        raise ParseError(f"bad name {name!r}", lineno, 5)
-    if name in session.names or name in session.slots:
-        raise ParseError(f"name {name!r} already declared", lineno, 5)
-    if _shadows_builtin(name, session.geometry):
-        raise ParseError(f"name {name!r} shadows a variable token", lineno, 5)
+    name, expr, col0 = _binding(session, line, lineno, "let")
     try:
         session.names[name] = parse_polynomial(expr, session.geometry, session.names, budget)
     except ParseError as pe:
@@ -97,13 +99,7 @@ def _load_let(session: Session, line: str, lineno: int, budget: _Budget):
 
 
 def _load_slot(session: Session, line: str, lineno: int):
-    name, rest, col0 = _split_binding(line, lineno, "slot")
-    if not _NAME_RE.match(name):
-        raise ParseError(f"bad name {name!r}", lineno, 6)
-    if name in session.names or name in session.slots:
-        raise ParseError(f"name {name!r} already declared", lineno, 6)
-    if _shadows_builtin(name, session.geometry):
-        raise ParseError(f"name {name!r} shadows a variable token", lineno, 6)
+    name, rest, col0 = _binding(session, line, lineno, "slot")
     rest = rest.strip()
     if not rest.isdigit():
         raise ParseError("slot alias needs an integer slot number", lineno, col0)

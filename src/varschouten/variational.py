@@ -29,12 +29,12 @@ from .algebra import (
     Monomial,
     _add_term,
     _by_family,
-    _derive_into,
     _euler,
     _family,
     _gradient,
     _integral,
-    _lower_first,
+    _jet,
+    _split_jet,
 )
 
 
@@ -114,13 +114,12 @@ def equivalent(a: Functional | DiffPolynomial, b: Functional | DiffPolynomial) -
 
 
 def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
-    """Integrate by parts until every monomial's minimal odd factor is underived.
+    """An equivalent density whose every monomial's minimal odd factor is underived.
 
-    Each step rewrites one monomial c*M whose leading (minimal) odd factor w
-    carries a derivative: with w = D_i(w'), subtract the total derivative of
-    the monomial with w replaced by w'.  Since w is the strict minimum of the
-    word, w' is fresh, and every surviving monomial's leading-factor order
-    drops by one, so the loop terminates.  The loop is linear, so it runs on
+    Integration by parts in closed form: int D_sigma(b_a)*R = (-1)^|sigma| int b_a*D_sigma(R).
+    Monomials are grouped by their leading (minimal) odd factor w = D_sigma(b_a), and the
+    rests R of one group take one _jet call.  Derivatives only raise factors, so b_a stays
+    the strict minimum of every word it is prepended to.  The map is linear, so it runs on
     the cleared int coefficients and divides once at the end.
     """
     work = f.density if isinstance(f, Functional) else f
@@ -131,21 +130,12 @@ def normalize_to_bA_form(f: Functional | DiffPolynomial) -> DiffPolynomial:
     if deg < 1:
         raise DomainError("bA-form normalization needs b-degree at least 1")
     work, den = _integral(work)
-    terms, done = work.terms, {}
-    guard = work.max_order() + 2
-    while terms:
-        guard -= 1
-        if guard < 0:
-            raise DomainError("bA-form normalization failed to terminate")
-        nxt: dict[Monomial, int] = {}
-        for m, c in terms.items():
-            low = _lower_first(m.odd[0])
-            if low is None:
-                _add_term(done, m, c)
-                continue
-            dim, w = low
-            lowered = m._replace(odd=(w,) + m.odd[1:])
-            _add_term(nxt, m, c)
-            _derive_into(nxt, {lowered: c}, dim, -1)
-        terms = nxt
-    return DiffPolynomial(g, done).scaled(Fraction(1, den))
+    groups: dict = {}
+    for m, c in work.terms.items():
+        groups.setdefault(m.odd[0], {})[m._replace(odd=m.odd[1:])] = c
+    out: dict[Monomial, int] = {}
+    for w, rests in groups.items():
+        b, ix, order = _split_jet(w)
+        for r, c in _jet({0: rests}, ix).items():
+            _add_term(out, Monomial(r.base, r.even, (b, *r.odd)), -c if order % 2 else c)
+    return DiffPolynomial(g, out).scaled(Fraction(1, den))

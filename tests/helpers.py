@@ -12,6 +12,9 @@ the bracket's insertion recursion written the plain way: every jet of a
 section transported from scratch, and every recursion node building its
 polynomial with scaled and +.
 
+naive_bA_form reaches the bA form by rounds of one-step integration by
+parts, the plain way, through the public API only.
+
 with_alarm runs a callable under a wall-clock alarm, so that a hang or a
 slow path fails its test instead of stalling the suite.
 """
@@ -28,6 +31,7 @@ from varschouten import (
     BKIND,
     LEFT,
     DiffPolynomial,
+    DomainError,
     Geometry,
     JetVariable,
     MultiIndex,
@@ -276,3 +280,43 @@ def reference_inserted(xi, eta, slots) -> DiffPolynomial:
     each node building its value eagerly, each leaf [[H, phi]] = d_phi(H)
     summed naively."""
     return _reference_density(xi.density, xi.degree, eta.density, eta.degree, tuple(slots))
+
+
+# ------------------------------------------------------- reference bA form
+
+
+def naive_bA_form(f: DiffPolynomial) -> DiffPolynomial:
+    """The bA form by rounds of one-step integration by parts.
+
+    Each round rewrites every monomial c*M whose leading (minimal) odd factor
+    w is derived: with w = D_d(w'), d the first base dimension w is derived
+    in, it subtracts D_d of c*M with w replaced by w'.  Each round lowers
+    every surviving leading factor by one derivative, so max_order() + 1
+    rounds finish.
+    """
+    g = f.geometry
+    if f.is_zero:
+        return f
+    if f.homogeneous_degree() < 1:
+        raise DomainError("bA-form normalization needs b-degree at least 1")
+    done = DiffPolynomial.zero(g)
+    work = f
+    for _ in range(f.max_order() + 1):
+        rest = DiffPolynomial.zero(g)
+        for m, c in work.terms.items():
+            term = monomial(g, c, base=Counter(m.base).items(), even=m.even, odd=m.odd)
+            w = m.odd[0]
+            if w.index.order == 0:
+                done = done + term
+                continue
+            d = w.index.counts[0][0]
+            row = list(w.index.row)
+            row[d - 1] -= 1
+            lowered = JetVariable(w.kind, w.fiber, MultiIndex.from_row(row))
+            primitive = monomial(
+                g, c, base=Counter(m.base).items(), even=m.even, odd=(lowered, *m.odd[1:])
+            )
+            rest = rest + term - primitive.total_derivative(d)
+        work = rest
+    assert work.is_zero
+    return done

@@ -3,8 +3,10 @@
 Each runs in a subprocess against the checkout's src/ (see conftest.py),
 the way a reader would start it.  The worked examples print exact values,
 so their whole output is compared with the files in tests/golden/.
+bench_pairs.py takes half an hour, so only its summary function is checked.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,12 @@ def test_certify_bivectors_script():
     proc = run_script("certify_bivectors.py", "--fuzz", "5")
     assert proc.returncode == 0, proc.stderr
     assert "q_x*b*b_x: not Poisson, witness class 4*q_x*b*b_x*b_xx" in proc.stdout.splitlines()
+
+
+def test_bench_pairs_summarizes_the_per_pair_ratios():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    got = bench.compare([2.0, 4.0, 8.0, 16.0, 32.0], [3.0, 4.0, 12.0, 8.0, 32.0], "higher")
+    assert got["pairs_won"] == {"parent": 1, "change": 2}
+    assert got["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.5, "runs": [1.5, 1.0, 1.5, 0.5, 1.0]}

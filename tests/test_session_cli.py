@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from varschouten import Geometry, ParseError, cli, load_session
+from varschouten.batteries import BatteryReport, FailureRecord
 from varschouten.cli import main
 
 
@@ -45,6 +46,14 @@ def test_session_happy_path():
         ("geometry 1 1 4\nlet q2 = q", "line 2, col 5: name 'q2' shadows a variable token"),
         ("geometry 1 1 4\nlet b_x = q", "line 2, col 5: name 'b_x' shadows a variable token"),
         ("geometry 1 1 4\nlet xi = q\nlet xi = b", "line 3, col 5: name 'xi' already declared"),
+        ("geometry 1 1 4\nlet 2x = q", "line 2, col 5: bad name '2x'"),
+        ("geometry 1 1 4\nlet  xi = q\nlet  xi = b", "line 3, col 6: name 'xi' already declared"),
+        ("geometry 1 1 4\nlet xi q", "line 2, col 1: expected: let <name> = <...>"),
+        ("geometry 1 1 4\nslot = 1", "line 2, col 1: expected: slot <name> = <...>"),
+        ("geometry 1 1 4\nslot 1st = 1", "line 2, col 6: bad name '1st'"),
+        ("geometry 1 1 4\nlet xi = q\nslot xi = 1", "line 3, col 6: name 'xi' already declared"),
+        ("geometry 1 1 4\nslot first = 1\nslot first = 2", "line 3, col 6: name 'first' already declared"),
+        ("geometry 1 1 4\nslot p1 = 1", "line 2, col 6: name 'p1' shadows a variable token"),
         ("geometry 1 1 4\nslot first = 9", "line 2, col 14: slot 9 out of range 1..4"),
         ("geometry 1 1 4\nslot first = x", "line 2, col 14: slot alias needs an integer slot number"),
         ("", "line 1, col 1: session file declares no geometry"),
@@ -172,6 +181,19 @@ def test_selftest_command(capsys):
     assert err == ""
 
 
+def test_selftest_prints_each_failure(capsys, monkeypatch):
+    failure = FailureRecord("jacobi", 1, 5, ("b*b_x", "q*b"), "defect is nonzero")
+    reports = [
+        BatteryReport("definitions-agree", 2, (), 5, 0.0),
+        BatteryReport("jacobi", 2, (failure,), 5, 0.0),
+    ]
+    monkeypatch.setattr(cli, "run_all", lambda cfg, cases: reports)
+    code, out, err = run_cli(capsys, "selftest", "--seed", "5", "--cases", "2")
+    assert code == 1
+    assert out == "definitions-agree 2 0 5\njacobi 2 1 5\n"
+    assert err == "  case 1: defect is nonzero\n    b*b_x\n    q*b\n"
+
+
 @pytest.mark.parametrize("cases", ["-3", "0", "1001"])
 def test_selftest_case_count_is_bounded(capsys, cases):
     code, out, err = run_cli(capsys, "selftest", "--cases", cases)
@@ -275,6 +297,17 @@ def test_session_file_parse_error_is_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "degree", "--file", str(bad), "q*b")
     assert code == 2
     assert err == "parse error: line 2, col 12: unexpected end of input\n"
+
+
+def test_unreadable_session_file_is_exit_three(tmp_path, capsys):
+    binary = tmp_path / "binary.session"
+    binary.write_bytes(b"\xff\xfegeometry 1 1 4\n")
+    code, out, err = run_cli(capsys, "degree", "--file", str(binary), "b")
+    assert (code, out) == (3, "")
+    assert err == f"error: {binary}: not UTF-8 text (invalid start byte at byte 0)\n"
+    code, out, err = run_cli(capsys, "degree", "--file", str(tmp_path), "b")
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):

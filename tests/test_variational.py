@@ -8,6 +8,7 @@ hold at: on the nose for the covector insertion laws, modulo divergences
 for the degree pairing.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,9 @@ from varschouten import (
     var_q,
 )
 
-from helpers import COPRIME_COEFFS, G11, G22, G31, polynomials
+from varschouten.randgen import GeneratorConfig, random_density
+
+from helpers import COPRIME_COEFFS, G11, G22, G31, naive_bA_form, polynomials
 
 g = Geometry(1, 1, 2)
 
@@ -216,9 +219,33 @@ def test_normalization_preserves_class_and_strips_leading_orders(f):
         assert m.odd[0].index.order == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([G11, G22]).flatmap(
+        lambda geo: st.integers(1, 3).flatmap(lambda k: polynomials(geo, degree=k))
+    ),
+    st.booleans(),
+)
+def test_normalization_matches_round_by_round_rewrite(f, derive):
+    """The closed form equals the one-step rewrite exactly, on divergences too."""
+    if derive:
+        f = f.total_derivative(f.geometry.n)
+    assert normalize_to_bA_form(f) == naive_bA_form(f)
+
+
+@pytest.mark.parametrize("geo", [(3, 1, 3), (1, 2, 4)], ids=["G313", "G124"])
+def test_normalization_matches_rewrite_on_seeded_densities(geo):
+    cfg = GeneratorConfig(geometry=Geometry(*geo), seed=11, max_order=3)
+    rng = random.Random(f"bA:{geo}")
+    for case in range(40):
+        f = random_density(cfg, 1 + case % 3, rng)
+        for h in (f, f.total_derivative(1 + case % geo[0])):
+            assert normalize_to_bA_form(h) == naive_bA_form(h)
+
+
 @pytest.mark.parametrize("geo", [G11, G22], ids=["G11", "G22"])
 def test_normalization_commutes_with_scaling(geo):
-    """The loop runs on cleared ints and divides once: the result scales
+    """The closed form runs on cleared ints and divides once: the result scales
     exactly with the input and publishes Fractions only."""
 
     @settings(max_examples=25, deadline=None)
