@@ -17,10 +17,11 @@ each side runs `perfbench/run.py --trace 1 --seed 1` once per workload, and
 the file records every per-layer metric of those runs under
 "per_layer": {workload: {metric: {"parent": v, "change": v}}}, so that it shows
 in which layer a change of the end-to-end metrics sits.  The change's SHA is
-HEAD's; when the checkout has uncommitted edits, the file says so.  Either
-way it names the measured files by their git tree ids: change_tree for the
-whole exported checkout, change_src_tree for its src/ (the engine), which
-`git rev-parse COMMIT:src` matches on any commit carrying that engine.
+HEAD's; when the checkout has uncommitted edits as the run starts, the file
+says so.  Either way it names the measured files by their git tree ids:
+change_tree for the whole exported checkout, change_src_tree for its src/
+(the engine), which `git rev-parse COMMIT:src` matches on any commit
+carrying that engine.
 Without --out the JSON goes to stdout; progress goes to stderr.
 
 A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
     per_layer = [m["name"] for m in spec["per_layer"]]
     shas = {"parent": git("rev-parse", f"{args.parent}^{{commit}}").strip(),
             "change": git("rev-parse", "HEAD").strip()}
-    tree = checkout_tree()
+    tree, dirty = checkout_tree(), bool(git("status", "--porcelain"))
     results: dict = {w: {side: [] for side in SIDES} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     report = {
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
+        "change_has_uncommitted_edits": dirty,
         "change_tree": tree,
         "change_src_tree": git("rev-parse", f"{tree}:src").strip(),
         "python": platform.python_version(),
