@@ -16,7 +16,11 @@ slower drift, which the medians of the two sides do not.  After the pairs,
 each side runs `perfbench/run.py --trace 1 --seed 1` once per workload, and
 the file records every per-layer metric of those runs under
 "per_layer": {workload: {metric: {"parent": v, "change": v}}}, so that it shows
-in which layer a change of the end-to-end metrics sits.  The change's SHA is
+in which layer a change of the end-to-end metrics sits.  Last, each side runs
+the verification batteries once, `batteries.run_all(GeneratorConfig(seed=0,
+max_order=2), cases=100)` in a subprocess on that side's src/, and the file
+records each battery's wall time and failure count under "batteries", so a
+change to the engine also shows at the battery layer.  The change's SHA is
 HEAD's; when the checkout has uncommitted edits as the run starts, the file
 says so.  Either way it names the measured files by their git tree ids:
 change_tree for the whole exported checkout, change_src_tree for its src/
@@ -25,7 +29,7 @@ carrying that engine.
 Without --out the JSON goes to stdout; progress goes to stderr.
 
 A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
-checks), plus a few seconds per traced run: some 25 minutes at the defaults,
+checks), plus a few seconds per traced run and per battery run: some 25 minutes at the defaults,
 which is why Tier-1 does not run it.
 """
 
@@ -90,6 +94,25 @@ def run_once(tree: Path, workload: str, seed: int, *options: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+BATTERY_CASES = 100
+_BATTERIES = (
+    "import json; from varschouten.batteries import run_all; "
+    "from varschouten.randgen import GeneratorConfig; "
+    "print(json.dumps([(r.name, r.wall_time, len(r.failures)) "
+    "for r in run_all(GeneratorConfig(seed=0, max_order=2), cases={cases})]))"
+)
+
+
+def battery_times(tree: Path, cases: int = BATTERY_CASES) -> dict:
+    """{battery: {"wall_time_s": s, "failures": n}} of one run_all in a subprocess on tree's src/."""
+    argv = [sys.executable, "-c", _BATTERIES.format(cases=cases)]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"the battery run in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return {name: {"wall_time_s": t, "failures": n} for name, t, n in json.loads(proc.stdout)}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -139,6 +162,8 @@ def main(argv=None) -> int:
         layers = {w: {side: run_once(trees[side], w, 1, "--trace", "1")["metrics"] for side in SIDES}
                   for w in workloads}
         print("traced runs done", file=sys.stderr)
+        batteries = {side: battery_times(trees[side]) for side in SIDES}
+        print("battery runs done", file=sys.stderr)
 
     report = {
         "parent_sha": shas["parent"],
@@ -168,6 +193,11 @@ def main(argv=None) -> int:
         "per_layer": {
             w: {name: {side: layers[w][side][name]["value"] for side in SIDES} for name in per_layer}
             for w in workloads
+        },
+        "batteries": {
+            "config": "GeneratorConfig(seed=0, max_order=2)",
+            "cases": BATTERY_CASES,
+            "runs": {name: {side: batteries[side][name] for side in SIDES} for name in batteries["parent"]},
         },
     }
     text = json.dumps(report, indent=1) + "\n"

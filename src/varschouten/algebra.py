@@ -182,6 +182,34 @@ def _with_slot(v: int, kind: int, slot: int = 0) -> JetVariable:
     return int.__new__(JetVariable, v & (1 << _SLOT) - 1 | kind << _KIND | slot << _SLOT)
 
 
+def _rename_slots_into(out: dict, terms: dict, rename: Mapping[int, int], sign: int) -> None:
+    """Add sign * terms into the term dict out, each variable of a covector slot
+    j in rename moved to slot rename[j]; other variables are kept.
+
+    The renamed slots must not collide with each other or with the slots the
+    terms keep, so distinct monomials stay distinct.  Slot variables are even:
+    the odd word and the sign stay, only the even tuple is re-sorted.  Each
+    distinct variable is renamed once.
+    """
+    moved = {PKIND << _W | a: b for a, b in rename.items() if a != b}
+    if not moved:
+        for m, c in terms.items():
+            _add_term(out, m, c if sign > 0 else -c)
+        return
+    names: dict = {}
+    for m, c in terms.items():
+        base, even, odd = m
+        row = []
+        for v in even:
+            w = names.get(v)
+            if w is None:
+                to = moved.get(v >> _SLOT)
+                w = names[v] = v if to is None else _with_slot(v, PKIND, to)
+            row.append(w)
+        row.sort()
+        _add_term(out, Monomial(base, tuple(row), odd), c if sign > 0 else -c)
+
+
 def _shift(v: int, step: int) -> JetVariable:
     """v moved by step = +-_STEP[i]: the total derivative D_i of one variable, or its inverse."""
     w = v + step

@@ -26,6 +26,35 @@ from .variational import equivalent, is_exact, normalize_to_bA_form
 _MAX_SELFTEST_CASES = 1000
 
 
+class _MissingPositional(Exception):
+    """argparse's missing-argument error, raised so that parse_known_args can reword it."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  argparse takes an argument that starts with '-',
+    such as the polynomial -q*b, for an unknown option and then reports the
+    positional argument it misses; this error names the token instead."""
+
+    def error(self, message):
+        if message.startswith("the following arguments are required"):
+            raise _MissingPositional(message)
+        super().error(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _MissingPositional as missing:
+            message = str(missing)
+        for arg in args or ():
+            if arg == "--":
+                break
+            if (arg.startswith("-") and arg.partition("=")[0] not in self._option_string_actions
+                    and not self._negative_number_matcher.match(arg)):
+                message = f"unknown option {arg!r}; polynomials starting with '-' follow '--'"
+                break
+        super().error(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first main() call and reused by every later one.
@@ -39,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--latex", action="store_true", help="print polynomials as LaTeX")
 
     top = argparse.ArgumentParser(prog="varschouten", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("bracket", parents=[common], help="Schouten bracket, density formula")
     p.add_argument("xi")

@@ -16,6 +16,12 @@ bottoming out at [[H, phi]] = int d_phi(H) and [[phi, H]] = -int d_phi(H).
 With eta(p) = (1/l) * (unscaled insertion sum), every step weighs 1/(k+l-1),
 so every leaf weighs +-1/(k+l-1)!: the recursion carries only a sign down to
 the leaves, adds them into one term dict, and divides by (k+l-1)! once.
+Every leaf has one of two shapes, (k, l) -> (0, 1) or (1, 0), and leaves of
+one shape differ only in which slot numbers went to xi and which to eta.
+Renaming slots commutes with insertion, D_i, partials and products, so each
+shape is computed once and every path adds it with its own slots renamed in
+(algebra._rename_slots_into): the same polynomial, term for term, as
+inserting along every path.
 
 One application loop, _apply_into, serves the field route, the base case and
 the recursion's leaves, which fold their sign into the sections.
@@ -53,6 +59,7 @@ from .algebra import (
     _integral,
     _jet,
     _mul_into,
+    _rename_slots_into,
 )
 from .multivector import Multivector, _iota_sum, from_slots
 from .variational import Functional, _euler_fibers, is_exact
@@ -216,26 +223,47 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
 
 
 def _recursive_density(
-    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...],
-    sign: int, out: dict,
+    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...], out: dict
 ) -> None:
-    """Add sign * (k+l-1)! * [[f, g]](slots) into the term dict out, for k + l >= 1.
+    """Add (k+l-1)! * [[f, g]](slots) into the term dict out, for k + l >= 1.
 
     The step weight l/(k+l-1) or (-1)^(l-1) k/(k+l-1) times the insertion's
     1/l or 1/k is +-1/(k+l-1) on every path, so the recursion inserts with the
     unscaled _iota_sum and carries only the sign: (-1)^(l-1) on the k branch,
     - at the [[phi, H]] leaf.  Int coefficients stay int.
+
+    Each leaf shape is computed once (module docstring): f is inserted along
+    slots[-1], slots[-2], ... and g along slots[0], slots[1], ..., two chains
+    whose slots are disjoint at either shape.  The walk gives the slots away
+    last first, as the recursion does, carrying only the slots each argument
+    took and the sign; at a leaf it renames the chain's i-th slot to the i-th
+    slot its argument took.
     """
-    if k + l == 1:
-        phi, h, sign = (g, f, sign) if k == 0 else (f, g, -sign)
-        _apply_into(out, h, [sec if sign > 0 else -sec for sec in _section_of(phi)], ())
-        return
-    p = slots[-1]
-    rest = slots[:-1]
-    if l >= 1:
-        _recursive_density(f, k, _iota_sum(g, p, l), l - 1, rest, sign, out)
-    if k >= 1:
-        _recursive_density(_iota_sum(f, p, k), k - 1, g, l, rest, sign if l % 2 else -sign, out)
+    total = len(slots)
+    fs, gs = [f], [g]
+    for i in range(k if l else k - 1):
+        fs.append(_iota_sum(fs[i], slots[total - 1 - i], k - i))
+    for j in range(l if k else l - 1):
+        gs.append(_iota_sum(gs[j], slots[j], l - j))
+    leaves: list = [{}, {}]  # (0, 1): [[H, phi]] = int d_phi(H); (1, 0): [[phi, H]], its negative
+    if l:
+        _apply_into(leaves[0], fs[k], _section_of(gs[l - 1]), ())
+    if k:
+        _apply_into(leaves[1], gs[l], [-sec for sec in _section_of(fs[k - 1])], ())
+
+    def walk(i: int, j: int, f_took: tuple, g_took: tuple, sign: int) -> None:
+        if i + j == total:
+            rename = {slots[total - 1 - a]: p for a, p in enumerate(f_took)}
+            rename.update((slots[b], p) for b, p in enumerate(g_took))
+            _rename_slots_into(out, leaves[i < k], rename, sign)
+            return
+        p = slots[total - 1 - i - j]
+        if j < l:
+            walk(i, j + 1, f_took, g_took + (p,), sign)
+        if i < k:
+            walk(i + 1, j, f_took + (p,), g_took, sign if (l - j) % 2 else -sign)
+
+    walk(0, 0, (), (), 1)
 
 
 def bracket_recursive(
@@ -273,7 +301,7 @@ def bracket_recursive(
                 raise DomainError(f"slot {j} already occupied by an argument")
     (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
     terms: dict = {}
-    _recursive_density(f, k, g, l, slots, 1, terms)
+    _recursive_density(f, k, g, l, slots, terms)
     inserted = DiffPolynomial(geo, terms)
     scale = Fraction(1, df * dg * factorial(total))
     density = from_slots(inserted, slots).density if total else inserted

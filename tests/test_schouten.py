@@ -276,6 +276,53 @@ def test_recursion_matches_eager_reference_on_battery_pairs(k, l):
         assert r.inserted.density == reference_inserted(xi, eta, r.slots)
 
 
+def assert_matches_reference(xi, eta, slots):
+    r = bracket_recursive(xi, eta, slots=slots)
+    expected = reference_inserted(xi, eta, slots)
+    assert r.slots == slots and not expected.is_zero
+    assert r.inserted.density == expected
+    assert r.representative.density == from_slots(expected, slots).density
+    return r
+
+
+@pytest.mark.parametrize(
+    "geo,k,l,slots",
+    [(Geometry(1, 1, 4), 2, 2, (4, 1, 3)), (Geometry(2, 2, 3), 3, 1, (3, 1, 2)),
+     (Geometry(1, 1, 4), 3, 2, (2, 4, 1, 3))],
+    ids=["G114-2-2", "G223-3-1", "G114-3-2"],
+)
+def test_recursion_renames_unsorted_user_slots(geo, k, l, slots):
+    """Leaves are computed once per shape and renamed onto each path's slots;
+    user slots out of order and with gaps must rename exactly."""
+    cfg = GeneratorConfig(geometry=geo, seed=4, max_order=2)
+    for case in range(2):
+        xi = random_multivector(cfg, k, salt=f"rename:{case}:xi")
+        eta = random_multivector(cfg, l, salt=f"rename:{case}:eta")
+        assert_matches_reference(xi, eta, slots)
+
+
+def test_recursion_leaves_argument_slots_alone():
+    """A slot variable an argument already carries is not a renamed slot."""
+    p4 = pvar(4, 1, 1)
+    xi = mv(*TRANSLATION, (1, [], [p4], [bvar(1), bvar(1, 1, 1)]))
+    eta = mv((1, [(1, 3)], [qvar(1, 1, 1), pvar(4, 1)], [bvar(1)]), (2, [], [qvar(1)], [bvar(1, 1)]))
+    for slots in ((1, 2), (2, 1), (3, 1)):
+        r = assert_matches_reference(xi, eta, slots)
+        assert all(any(v.slot == 4 for v in m.even) for m in r.inserted.density.terms)
+
+
+def test_recursion_computes_each_leaf_shape_once(monkeypatch):
+    from varschouten import schouten
+
+    calls = []
+    apply_into = schouten._apply_into
+    monkeypatch.setattr(schouten, "_apply_into", lambda *a: calls.append(1) or apply_into(*a))
+    cfg = GeneratorConfig(seed=4, max_order=2)
+    xi, eta = random_multivector(cfg, 3, salt="shapes:xi"), random_multivector(cfg, 2, salt="shapes:eta")
+    r = bracket_recursive(xi, eta)
+    assert len(calls) <= 2 and not r.inserted.is_zero
+
+
 @pytest.mark.parametrize("parity", [0, 1])
 def test_field_apply_matches_naive_sum(parity):
     """Jets built from their prefixes equal jets transported from scratch (n = 2)."""

@@ -3,7 +3,8 @@
 Each runs in a subprocess against the checkout's src/ (see conftest.py),
 the way a reader would start it.  The worked examples print exact values,
 so their whole output is compared with the files in tests/golden/.
-bench_pairs.py takes half an hour, so only its summary function is checked.
+bench_pairs.py takes half an hour, so only its summary function and its
+battery run (with two cases) are checked.
 """
 
 import importlib.util
@@ -35,10 +36,22 @@ def test_certify_bivectors_script():
     assert "q_x*b*b_x: not Poisson, witness class 4*q_x*b*b_x*b_xx" in proc.stdout.splitlines()
 
 
-def test_bench_pairs_summarizes_the_per_pair_ratios():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_summarizes_the_per_pair_ratios():
+    bench = load_bench_pairs()
     got = bench.compare([2.0, 4.0, 8.0, 16.0, 32.0], [3.0, 4.0, 12.0, 8.0, 32.0], "higher")
     assert got["pairs_won"] == {"parent": 1, "change": 2}
     assert got["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.5, "runs": [1.5, 1.0, 1.5, 0.5, 1.0]}
+
+
+def test_bench_pairs_times_each_battery_on_a_tree():
+    got = load_bench_pairs().battery_times(SCRIPTS.parent, cases=2)
+    assert list(got) == ["definitions-agree", "jacobi", "commutator", "remarks", "golden-examples"]
+    for run in got.values():
+        assert run["failures"] == 0 and run["wall_time_s"] > 0

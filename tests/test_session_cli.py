@@ -364,5 +364,9 @@ def test_shared_parser_prints_the_same_bytes_each_time(capsys, argv):
 
 def test_an_argument_with_a_leading_minus_follows_double_dash(capsys):
     assert run_cli(capsys, "bracket", "--", "b*b_x", "-q*b") == (0, "degree 2\n2*b*b_x\n", "")
-    # without "--" argparse reads "-q*b" as an unknown option and misses eta
-    assert _exit_output(capsys, "bracket", "b*b_x", "-q*b")[0] == 2
+    # without "--" argparse reads "-q*b" as an unknown option and misses eta;
+    # the error names the token, not the missing argument
+    code, out, err = _exit_output(capsys, "bracket", "b*b_x", "-q*b")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unknown option '-q*b'; polynomials starting with '-' follow '--'\n")
+    assert _exit_output(capsys, "bracket", "--", "-q*b")[2].endswith("required: eta\n")
