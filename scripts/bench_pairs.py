@@ -29,8 +29,8 @@ carrying that engine.
 Without --out the JSON goes to stdout; progress goes to stderr.
 
 A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
-checks), plus a few seconds per traced run and per battery run: some 25 minutes at the defaults,
-which is why Tier-1 does not run it.
+checks), plus a few seconds per traced run and per battery run: some 25 to
+40 minutes at the defaults, which is why Tier-1 does not run it.
 """
 
 from __future__ import annotations

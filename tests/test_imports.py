@@ -23,10 +23,6 @@ FILES = sorted(
 )
 
 
-BIT_LAYOUT = {"_B", "_W", "_NMAX", "_KIND", "_SLOT", "_FIBER", "_ORDER", "_INDEX", "_STEP",
-              "_CARRY", "_FIELD_MAX", "_COUNT_MAX"}
-
-
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -51,6 +47,10 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+BIT_LAYOUT = {"_B", "_W", "_NMAX", "_KIND", "_SLOT", "_FIBER", "_ORDER", "_INDEX", "_STEP",
+              "_CARRY", "_FIELD_MAX", "_COUNT_MAX"}
 
 
 def bit_layout_imports(source: str) -> list[str]:
