@@ -20,7 +20,10 @@ in which layer a change of the end-to-end metrics sits.  Last, each side runs
 the verification batteries once, `batteries.run_all(GeneratorConfig(seed=0,
 max_order=2), cases=100)` in a subprocess on that side's src/, and the file
 records each battery's wall time and failure count under "batteries", so a
-change to the engine also shows at the battery layer.  The change's SHA is
+change to the engine also shows at the battery layer.  Each side also runs
+`battery_definitions_agree` once at each geometry (n,m,s) of GEOMETRIES,
+which the benchmark's workloads do not reach, with the wall time and
+failure count of each under "geometries".  The change's SHA is
 HEAD's; when the checkout has uncommitted edits as the run starts, the file
 says so.  Either way it names the measured files by their git tree ids:
 change_tree for the whole exported checkout, change_src_tree for its src/
@@ -103,14 +106,38 @@ _BATTERIES = (
 )
 
 
-def battery_times(tree: Path, cases: int = BATTERY_CASES) -> dict:
-    """{battery: {"wall_time_s": s, "failures": n}} of one run_all in a subprocess on tree's src/."""
-    argv = [sys.executable, "-c", _BATTERIES.format(cases=cases)]
+GEOMETRIES = ((2, 2, 3), (3, 1, 3), (1, 2, 4))
+GEOMETRY_CASES = 44
+_GEOMETRIES = (
+    "import json; from varschouten.algebra import Geometry; "
+    "from varschouten.batteries import battery_definitions_agree; "
+    "from varschouten.randgen import GeneratorConfig; "
+    "print(json.dumps([(r.wall_time, len(r.failures)) for r in ("
+    "battery_definitions_agree(GeneratorConfig(geometry=Geometry(*g), seed=1, max_order=2, max_terms=3), "
+    "cases={cases}) for g in {geometries})]))"
+)
+
+
+def run_batteries(tree: Path, code: str) -> list:
+    """The JSON that code prints, run in a subprocess on tree's src/."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"the battery run in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return {name: {"wall_time_s": t, "failures": n} for name, t, n in json.loads(proc.stdout)}
+    return json.loads(proc.stdout)
+
+
+def battery_times(tree: Path, cases: int = BATTERY_CASES) -> dict:
+    """{battery: {"wall_time_s": s, "failures": n}} of one run_all in a subprocess on tree's src/."""
+    runs = run_batteries(tree, _BATTERIES.format(cases=cases))
+    return {name: {"wall_time_s": t, "failures": n} for name, t, n in runs}
+
+
+def geometry_times(tree: Path, cases: int = GEOMETRY_CASES) -> dict:
+    """{geometry: {"wall_time_s": s, "failures": n}} of battery_definitions_agree at each of
+    GEOMETRIES, in one subprocess on tree's src/."""
+    runs = run_batteries(tree, _GEOMETRIES.format(cases=cases, geometries=GEOMETRIES))
+    return {",".join(map(str, g)): {"wall_time_s": t, "failures": n} for g, (t, n) in zip(GEOMETRIES, runs)}
 
 
 def summary(values: list[float]) -> dict:
@@ -163,6 +190,7 @@ def main(argv=None) -> int:
                   for w in workloads}
         print("traced runs done", file=sys.stderr)
         batteries = {side: battery_times(trees[side]) for side in SIDES}
+        geometries = {side: geometry_times(trees[side]) for side in SIDES}
         print("battery runs done", file=sys.stderr)
 
     report = {
@@ -198,6 +226,12 @@ def main(argv=None) -> int:
             "config": "GeneratorConfig(seed=0, max_order=2)",
             "cases": BATTERY_CASES,
             "runs": {name: {side: batteries[side][name] for side in SIDES} for name in batteries["parent"]},
+        },
+        "geometries": {
+            "battery": "definitions-agree",
+            "config": "GeneratorConfig(geometry=Geometry(n, m, s), seed=1, max_order=2, max_terms=3)",
+            "cases": GEOMETRY_CASES,
+            "runs": {g: {side: geometries[side][g] for side in SIDES} for g in geometries["parent"]},
         },
     }
     text = json.dumps(report, indent=1) + "\n"

@@ -182,32 +182,53 @@ def _with_slot(v: int, kind: int, slot: int = 0) -> JetVariable:
     return int.__new__(JetVariable, v & (1 << _SLOT) - 1 | kind << _KIND | slot << _SLOT)
 
 
-def _rename_slots_into(out: dict, terms: dict, rename: Mapping[int, int], sign: int) -> None:
-    """Add sign * terms into the term dict out, each variable of a covector slot
-    j in rename moved to slot rename[j]; other variables are kept.
+def _slot_positions(slots: Sequence[int]) -> dict:
+    """{v >> _SLOT: i} for the i-th listed covector slot: the key that every
+    variable of that slot carries, so one shift tells a variable's position."""
+    return {PKIND << _W | s: i for i, s in enumerate(slots)}
 
-    The renamed slots must not collide with each other or with the slots the
-    terms keep, so distinct monomials stay distinct.  Slot variables are even:
-    the odd word and the sign stay, only the even tuple is re-sorted.  Each
-    distinct variable is renamed once.
+
+def _unslot(even: tuple, positions: dict) -> tuple[list, list]:
+    """(kept, letters) of an even tuple: letters[i] is the variable of the slot
+    at position i turned into the odd letter of the same fiber and index, None
+    where that slot is missing; every other variable is kept, in order."""
+    letters: list = [None] * len(positions)
+    kept = []
+    for v in even:
+        pos = positions.get(v >> _SLOT)
+        if pos is None:
+            kept.append(v)
+        elif letters[pos] is None:
+            letters[pos] = _with_slot(v, BKIND)
+        else:
+            raise DomainError("slot appears twice in one monomial")
+    return kept, letters
+
+
+def _orbit_representatives(terms: dict, slots: Sequence[int]) -> dict:
+    """The terms whose variables of the listed covector slots carry strictly
+    ascending letters (fiber and index bits), read in ascending slot order.
+
+    For terms with one variable of each listed slot per monomial, distinct
+    letters within a monomial, and alternating under renaming those slots
+    (an insertion chain), every orbit of k! = len(slots)! monomials keeps
+    exactly one, and terms = sum over pi of sgn(pi) * pi(kept).
     """
-    moved = {PKIND << _W | a: b for a, b in rename.items() if a != b}
-    if not moved:
-        for m, c in terms.items():
-            _add_term(out, m, c if sign > 0 else -c)
-        return
-    names: dict = {}
+    if len(slots) < 2:
+        return terms
+    keys = {PKIND << _W | s for s in slots}
+    letters = (1 << _SLOT) - 1
+    out = {}
     for m, c in terms.items():
-        base, even, odd = m
-        row = []
-        for v in even:
-            w = names.get(v)
-            if w is None:
-                to = moved.get(v >> _SLOT)
-                w = names[v] = v if to is None else _with_slot(v, PKIND, to)
-            row.append(w)
-        row.sort()
-        _add_term(out, Monomial(base, tuple(row), odd), c if sign > 0 else -c)
+        last = -1
+        for v in m.even:  # sorted, so the listed slots come in ascending order
+            if v >> _SLOT in keys:
+                if v & letters <= last:
+                    break
+                last = v & letters
+        else:
+            out[m] = c
+    return out
 
 
 def _shift(v: int, step: int) -> JetVariable:

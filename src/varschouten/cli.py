@@ -32,8 +32,10 @@ class _MissingPositional(Exception):
 
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser.  argparse takes an argument that starts with '-',
-    such as the polynomial -q*b, for an unknown option and then reports the
-    positional argument it misses; this error names the token instead."""
+    such as the polynomial -q*b, for an unknown option: it then reports the
+    positional argument it misses or, when none is missing, leaves the token to
+    the top-level parser's "unrecognized arguments".  Either way this error
+    names the token instead."""
 
     def error(self, message):
         if message.startswith("the following arguments are required"):
@@ -42,16 +44,20 @@ class _CommandParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         try:
-            return super().parse_known_args(args, namespace)
+            namespace, extras = super().parse_known_args(args, namespace)
+            message = None
         except _MissingPositional as missing:
-            message = str(missing)
+            message, extras = str(missing), args or ()
         for arg in args or ():
             if arg == "--":
                 break
-            if (arg.startswith("-") and arg.partition("=")[0] not in self._option_string_actions
+            if (arg in extras and arg.startswith("-")
+                    and arg.partition("=")[0] not in self._option_string_actions
                     and not self._negative_number_matcher.match(arg)):
                 message = f"unknown option {arg!r}; polynomials starting with '-' follow '--'"
                 break
+        if message is None:
+            return namespace, extras
         super().error(message)
 
 

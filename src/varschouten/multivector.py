@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 
 from .algebra import (
     BKIND,
@@ -28,11 +30,12 @@ from .algebra import (
     DiffPolynomial,
     DomainError,
     Geometry,
-    JetVariable,
     Monomial,
     _add_term,
     _gradient,
+    _slot_positions,
     _sort_word,
+    _unslot,
     _with_slot,
 )
 from .variational import Functional, _euler_fibers, equivalent, is_exact
@@ -127,17 +130,47 @@ def evaluate(xi: Multivector, slots: list[int] | tuple[int, ...]) -> Functional:
         raise DomainError("covector slots must be distinct")
     used = xi.density.slots_used()
     for slot in slots:
+        if not 1 <= slot <= xi.geometry.s:
+            raise DomainError(f"covector slot {slot} outside geometry bounds (s={xi.geometry.s})")
         if slot in used:
             raise DomainError(f"slot {slot} already used in the multivector")
     if k == 0:
         return xi.functional
-    out: dict = {}
+    return Functional(DiffPolynomial(xi.geometry, _evaluate_terms(xi.density.terms, tuple(slots))))
+
+
+@cache
+def _signed_permutations(k: int) -> tuple:
+    """(sign(s), pick) for every permutation s of range(k): pick takes the
+    entries i*k + s(i) of a flat k-by-k table, as a tuple."""
+    out = []
     for perm in permutations(range(k)):
-        sign, _ = _sort_word(list(perm))
-        piece = xi.density.substitute_odd({i + 1: slots[perm[i]] for i in range(k)})
-        for m, c in piece.terms.items():
-            _add_term(out, m, c if sign > 0 else -c)
-    return Functional(DiffPolynomial(xi.geometry, out).scaled(Fraction(1, factorial(k))))
+        pick = itemgetter(*(i * k + s for i, s in enumerate(perm)))
+        out.append((_sort_word(list(perm))[0], pick if k > 1 else lambda table: (table[0],)))
+    return tuple(out)
+
+
+def _evaluate_terms(terms: dict, slots: tuple[int, ...]) -> dict:
+    """The evaluation of a density of b-degree k = len(slots) on the slots, as a
+    term dict: monomial c*M gives sign(s) * c/k! * [i-th odd factor ->
+    slots[s(i)]] for every s in S_k.
+
+    The odd letters of M are distinct and the slots are new to the density, so
+    no two (monomial, s) give the same term: each is set once, and c/k! is
+    worked out once per monomial.
+    """
+    k = len(slots)
+    if k == 0:
+        return terms
+    perms = _signed_permutations(k)
+    out: dict = {}
+    for (base, even, odd), c in terms.items():
+        table = [_with_slot(v, PKIND, slot) for v in odd for slot in slots]
+        plus = Fraction(c, factorial(k))
+        minus = -plus
+        for sign, pick in perms:
+            out[Monomial(base, tuple(sorted(even + pick(table))), ())] = plus if sign > 0 else minus
+    return out
 
 
 def evaluate_by_insertion(xi: Multivector, slots) -> Functional:
@@ -170,27 +203,17 @@ def from_slots(f: Functional | DiffPolynomial, slots) -> Multivector:
     classes.
     """
     density = f.density if isinstance(f, Functional) else f
-    g = density.geometry
-    order = {slot: i for i, slot in enumerate(slots)}
-    if len(order) != len(slots):
+    positions = _slot_positions(slots)
+    if len(positions) != len(slots):
         raise DomainError("covector slots must be distinct")
     out: dict[Monomial, Fraction] = {}
     for m, c in density.terms.items():
-        letters: list[JetVariable | None] = [None] * len(slots)
-        kept = []
-        for v in m.even:
-            if v.kind == PKIND and v.slot in order:
-                pos = order[v.slot]
-                if letters[pos] is not None:
-                    raise DomainError("slot appears twice in one monomial")
-                letters[pos] = _with_slot(v, BKIND)
-            else:
-                kept.append(v)
-        if any(x is None for x in letters):
+        kept, letters = _unslot(m.even, positions)
+        if None in letters:
             raise DomainError("monomial missing a covector slot; not an evaluation image")
         if m.odd:
             raise DomainError("density still contains odd factors; not fully evaluated")
         sign, sorted_word = _sort_word(letters)
         if sign:
             _add_term(out, Monomial(m.base, tuple(kept), sorted_word), c if sign > 0 else -c)
-    return Multivector(Functional(DiffPolynomial(g, out)), len(slots))
+    return Multivector(Functional(DiffPolynomial(density.geometry, out)), len(slots))

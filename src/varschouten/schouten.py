@@ -15,12 +15,21 @@ Recursive route: the bracket is pinned down by its fully inserted values,
 bottoming out at [[H, phi]] = int d_phi(H) and [[phi, H]] = -int d_phi(H).
 With eta(p) = (1/l) * (unscaled insertion sum), every step weighs 1/(k+l-1),
 so every leaf weighs +-1/(k+l-1)!: the recursion carries only a sign down to
-the leaves, adds them into one term dict, and divides by (k+l-1)! once.
-Every leaf has one of two shapes, (k, l) -> (0, 1) or (1, 0), and leaves of
-one shape differ only in which slot numbers went to xi and which to eta.
-Renaming slots commutes with insertion, D_i, partials and products, so each
-shape is computed once and every path adds it with its own slots renamed in
-(algebra._rename_slots_into): the same polynomial, term for term, as
+the leaves and divides by (k+l-1)! once.  Every leaf has one of two shapes,
+(k, l) -> (0, 1) or (1, 0), and leaves of one shape differ only in which slot
+numbers went to xi and which to eta.  Renaming slots commutes with insertion,
+D_i, partials and products, and from_slots turns a renaming pi of the slots
+into its sign: from_slots(pi L) = sgn(pi) from_slots(L).  So the route never
+builds the inserted sum: each path adds the integer sign * sgn(rename) to its
+shape's weight, and the density is sum_shape weight * from_slots(leaf).
+
+Each leaf is built from one representative per orbit of its arguments' chain
+slots (algebra._orbit_representatives): a fully inserted chain is alternating
+in its slots, and field application commutes with renaming them, so the leaf
+built from the representatives, times k!(l-1)! for shape (0, 1) or (k-1)! l!
+for shape (1, 0), rebuilds to the same density.  The route's inserted value
+is the evaluation of the published density on the slots
+(multivector._evaluate_terms): the same polynomial, term for term, as
 inserting along every path.
 
 One application loop, _apply_into, serves the field route, the base case and
@@ -41,7 +50,7 @@ density formula and the field route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -59,9 +68,10 @@ from .algebra import (
     _integral,
     _jet,
     _mul_into,
-    _rename_slots_into,
+    _orbit_representatives,
+    _sort_word,
 )
-from .multivector import Multivector, _iota_sum, from_slots
+from .multivector import Multivector, _evaluate_terms, _iota_sum, from_slots
 from .variational import Functional, _euler_fibers, is_exact
 
 
@@ -223,47 +233,62 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
 
 
 def _recursive_density(
-    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...], out: dict
-) -> None:
-    """Add (k+l-1)! * [[f, g]](slots) into the term dict out, for k + l >= 1.
+    f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...]
+) -> dict:
+    """(k+l-1)! * the density of [[f, g]], rebuilt from its values on slots, as
+    a term dict; k + l >= 1.
 
     The step weight l/(k+l-1) or (-1)^(l-1) k/(k+l-1) times the insertion's
     1/l or 1/k is +-1/(k+l-1) on every path, so the recursion inserts with the
     unscaled _iota_sum and carries only the sign: (-1)^(l-1) on the k branch,
     - at the [[phi, H]] leaf.  Int coefficients stay int.
 
-    Each leaf shape is computed once (module docstring): f is inserted along
-    slots[-1], slots[-2], ... and g along slots[0], slots[1], ..., two chains
-    whose slots are disjoint at either shape.  The walk gives the slots away
-    last first, as the recursion does, carrying only the slots each argument
-    took and the sign; at a leaf it renames the chain's i-th slot to the i-th
-    slot its argument took.
+    f is inserted along slots[-1], slots[-2], ... and g along slots[0],
+    slots[1], ..., two chains whose slots are disjoint at either leaf shape.
+    The walk gives the slots away last first, as the recursion does; a path
+    would insert its shape's leaf with the chain slots renamed to the slots
+    each argument took, so it adds sign * sgn(rename) to its shape's weight,
+    and each shape's leaf is rebuilt once (module docstring).
     """
     total = len(slots)
+    weights = [0, 0]  # shape (0, 1), reached at i = k; shape (1, 0), at i = k - 1
+
+    def walk(i: int, j: int, took: list, sign: int) -> None:
+        if i + j == total:
+            weights[i < k] += sign * _sort_word(took[:])[0]
+            return
+        p = total - 1 - i - j  # position of the next slot; took[c] is where chain position c went
+        if j < l:
+            took[j] = p
+            walk(i, j + 1, took, sign)
+        if i < k:
+            took[total - 1 - i] = p
+            walk(i + 1, j, took, sign if (l - j) % 2 else -sign)
+
+    walk(0, 0, [0] * total, 1)
     fs, gs = [f], [g]
     for i in range(k if l else k - 1):
         fs.append(_iota_sum(fs[i], slots[total - 1 - i], k - i))
     for j in range(l if k else l - 1):
         gs.append(_iota_sum(gs[j], slots[j], l - j))
-    leaves: list = [{}, {}]  # (0, 1): [[H, phi]] = int d_phi(H); (1, 0): [[phi, H]], its negative
-    if l:
-        _apply_into(leaves[0], fs[k], _section_of(gs[l - 1]), ())
-    if k:
-        _apply_into(leaves[1], gs[l], [-sec for sec in _section_of(fs[k - 1])], ())
+    out: dict = {}
 
-    def walk(i: int, j: int, f_took: tuple, g_took: tuple, sign: int) -> None:
-        if i + j == total:
-            rename = {slots[total - 1 - a]: p for a, p in enumerate(f_took)}
-            rename.update((slots[b], p) for b, p in enumerate(g_took))
-            _rename_slots_into(out, leaves[i < k], rename, sign)
-            return
-        p = slots[total - 1 - i - j]
-        if j < l:
-            walk(i, j + 1, f_took, g_took + (p,), sign)
-        if i < k:
-            walk(i + 1, j, f_took + (p,), g_took, sign if (l - j) % 2 else -sign)
+    def leaf(h: DiffPolynomial, h_slots, phi: DiffPolynomial, phi_slots, weight: int) -> None:
+        """Add weight * from_slots(int d_phi(H)), from one representative per orbit
+        of each argument's chain slots, times the orbits' sizes."""
+        terms: dict = {}
+        phi = DiffPolynomial(phi.geometry, _orbit_representatives(phi.terms, phi_slots))
+        h = DiffPolynomial(h.geometry, _orbit_representatives(h.terms, h_slots))
+        _apply_into(terms, h, _section_of(phi), ())
+        weight *= factorial(len(h_slots)) * factorial(len(phi_slots))
+        for m, c in from_slots(DiffPolynomial(h.geometry, terms), slots).density.terms.items():
+            _add_term(out, m, weight * c)
 
-    walk(0, 0, (), (), 1)
+    if weights[0]:  # [[H, phi]] = int d_phi(H)
+        leaf(fs[k], slots[l - 1 :], gs[l - 1], slots[: l - 1], weights[0])
+    if weights[1]:  # [[phi, H]] = -int d_phi(H)
+        leaf(gs[l], slots[:l], fs[k - 1], slots[l:], -weights[1])
+    return out
 
 
 def bracket_recursive(
@@ -272,7 +297,8 @@ def bracket_recursive(
     """Fully insert the bracket via the recursion, then rebuild the b-form.
 
     Slots default to the lowest free slot numbers; reconstruction reads the
-    slot-j variable of each monomial as the j-th odd letter.
+    slot-j variable of each monomial as the j-th odd letter.  The inserted
+    value is the evaluation of the published density on the slots.
     """
     k, l = xi.degree, eta.degree
     geo = xi.geometry
@@ -300,13 +326,10 @@ def bracket_recursive(
             if j in used:
                 raise DomainError(f"slot {j} already occupied by an argument")
     (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
-    terms: dict = {}
-    _recursive_density(f, k, g, l, slots, terms)
-    inserted = DiffPolynomial(geo, terms)
-    scale = Fraction(1, df * dg * factorial(total))
-    density = from_slots(inserted, slots).density if total else inserted
-    published = Functional(inserted.scaled(scale))
-    return _report(density, scale, "recursive", k, l, inserted=published, slots=slots)
+    density = DiffPolynomial(geo, _recursive_density(f, k, g, l, slots))
+    report = _report(density, Fraction(1, df * dg * factorial(total)), "recursive", k, l)
+    inserted = _evaluate_terms(report.representative.density.terms, slots)
+    return replace(report, inserted=Functional(DiffPolynomial(geo, inserted)), slots=slots)
 
 
 def jacobi_defect(

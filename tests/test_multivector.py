@@ -119,6 +119,9 @@ def test_evaluation_validates_slot_lists():
         evaluate(xi, (1,))
     with pytest.raises(DomainError):
         evaluate(xi, (1, 1))
+    for outside in ((1, 5), (0, 1)):
+        with pytest.raises(DomainError, match="outside geometry bounds"):
+            evaluate(xi, outside)
     seeded = multivector(poly((1, [], [pvar(1, 1)], [bvar(1), bvar(1, 1)])))
     with pytest.raises(DomainError):
         evaluate(seeded, (1, 2))

@@ -8,6 +8,7 @@ two dimensions.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,7 +49,9 @@ from varschouten import (
     var_q,
 )
 
+from varschouten.algebra import _orbit_representatives
 from varschouten.batteries import _DEGREE_PAIRS
+from varschouten.multivector import _iota_sum
 
 from helpers import COPRIME_COEFFS, G11, G22, naive_apply, polynomials, reference_inserted
 
@@ -299,6 +302,44 @@ def test_recursion_renames_unsorted_user_slots(geo, k, l, slots):
         xi = random_multivector(cfg, k, salt=f"rename:{case}:xi")
         eta = random_multivector(cfg, l, salt=f"rename:{case}:eta")
         assert_matches_reference(xi, eta, slots)
+
+
+@pytest.mark.parametrize("geo", [Geometry(1, 1, 4), Geometry(2, 2, 4)], ids=["G11", "G22"])
+def test_recursion_matches_reference_on_shuffled_slots(geo):
+    """Path weights, orbit representatives and the inserted value evaluated from
+    the density, against the eager recursion term for term, on explicit slots
+    in any order (G11 and G22 with four slots)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]),
+           st.permutations(range(1, geo.s + 1)), st.data())
+    def run(pair, order, data):
+        k, l = pair
+        xi = Multivector(Functional(data.draw(polynomials(geo, degree=k))), k)
+        eta = Multivector(Functional(data.draw(polynomials(geo, degree=l))), l)
+        slots = tuple(order[: k + l - 1])
+        r = bracket_recursive(xi, eta, slots=slots)
+        expected = reference_inserted(xi, eta, slots)
+        assert r.inserted.density == expected
+        assert r.representative.density == from_slots(expected, slots).density
+
+    run()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_filter_keeps_one_monomial_per_orbit(k):
+    """An insertion chain of k slots is alternating in them: the filter keeps
+    len // k! of its monomials, with their coefficients."""
+    cfg = GeneratorConfig(geometry=Geometry(2, 2, 4), seed=3, max_order=2)
+    slots = (4, 1, 3)[:k]
+    for case in range(3):
+        chain = random_multivector(cfg, k, salt=f"orbit:{case}").density
+        for i, slot in enumerate(slots):
+            chain = _iota_sum(chain, slot, k - i)
+        kept = _orbit_representatives(chain.terms, slots)
+        assert len(chain.terms) % factorial(k) == 0
+        assert len(kept) == len(chain.terms) // factorial(k) > 0
+        assert kept.items() <= chain.terms.items()
 
 
 def test_recursion_leaves_argument_slots_alone():

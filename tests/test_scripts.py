@@ -4,7 +4,7 @@ Each runs in a subprocess against the checkout's src/ (see conftest.py),
 the way a reader would start it.  The worked examples print exact values,
 so their whole output is compared with the files in tests/golden/.
 bench_pairs.py takes half an hour, so only its summary function and its
-battery run (with two cases) are checked.
+battery runs (with two cases) are checked.
 """
 
 import importlib.util
@@ -53,5 +53,12 @@ def test_bench_pairs_summarizes_the_per_pair_ratios():
 def test_bench_pairs_times_each_battery_on_a_tree():
     got = load_bench_pairs().battery_times(SCRIPTS.parent, cases=2)
     assert list(got) == ["definitions-agree", "jacobi", "commutator", "remarks", "golden-examples"]
+    for run in got.values():
+        assert run["failures"] == 0 and run["wall_time_s"] > 0
+
+
+def test_bench_pairs_times_the_definitions_battery_at_each_geometry():
+    got = load_bench_pairs().geometry_times(SCRIPTS.parent, cases=2)
+    assert list(got) == ["2,2,3", "3,1,3", "1,2,4"]
     for run in got.values():
         assert run["failures"] == 0 and run["wall_time_s"] > 0

@@ -370,3 +370,14 @@ def test_an_argument_with_a_leading_minus_follows_double_dash(capsys):
     assert (code, out) == (2, "")
     assert err.endswith("error: unknown option '-q*b'; polynomials starting with '-' follow '--'\n")
     assert _exit_output(capsys, "bracket", "--", "-q*b")[2].endswith("required: eta\n")
+
+
+def test_a_trailing_argument_with_a_leading_minus_is_named(capsys):
+    # with every positional filled, argparse would leave "-q*b" to the
+    # top-level parser's "unrecognized arguments", without the hint
+    code, out, err = _exit_output(capsys, "bracket", "b*b_x", "b", "-q*b")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unknown option '-q*b'; polynomials starting with '-' follow '--'\n")
+    assert _exit_output(capsys, "bracket", "b*b_x", "b", "c")[2].endswith(
+        "error: unrecognized arguments: c\n"
+    )
