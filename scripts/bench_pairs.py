@@ -23,7 +23,9 @@ records each battery's wall time and failure count under "batteries", so a
 change to the engine also shows at the battery layer.  Each side also runs
 `battery_definitions_agree` once at each geometry (n,m,s) of GEOMETRIES,
 which the benchmark's workloads do not reach, with the wall time and
-failure count of each under "geometries".  The change's SHA is
+failure count of each under "geometries".  "src_lines": {"parent": N,
+"change": M} is the size of each side's engine, the total `wc -l` of
+src/varschouten/*.py in its exported tree.  The change's SHA is
 HEAD's; when the checkout has uncommitted edits as the run starts, the file
 says so.  Either way it names the measured files by their git tree ids:
 change_tree for the whole exported checkout, change_src_tree for its src/
@@ -140,6 +142,11 @@ def geometry_times(tree: Path, cases: int = GEOMETRY_CASES) -> dict:
     return {",".join(map(str, g)): {"wall_time_s": t, "failures": n} for g, (t, n) in zip(GEOMETRIES, runs)}
 
 
+def src_lines(tree: Path) -> int:
+    """The total `wc -l` (newline count) of tree's src/varschouten/*.py."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "varschouten").glob("*.py"))
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -192,6 +199,7 @@ def main(argv=None) -> int:
         batteries = {side: battery_times(trees[side]) for side in SIDES}
         geometries = {side: geometry_times(trees[side]) for side in SIDES}
         print("battery runs done", file=sys.stderr)
+        lines = {side: src_lines(trees[side]) for side in SIDES}
 
     report = {
         "parent_sha": shas["parent"],
@@ -204,6 +212,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": list(range(1, args.pairs + 1)),
+        "src_lines": lines,
         "workloads": {
             w: {
                 "failed": {side: [r["failed"] for r in results[w][side]] for side in SIDES},

@@ -205,32 +205,6 @@ def _unslot(even: tuple, positions: dict) -> tuple[list, list]:
     return kept, letters
 
 
-def _orbit_representatives(terms: dict, slots: Sequence[int]) -> dict:
-    """The terms whose variables of the listed covector slots carry strictly
-    ascending letters (fiber and index bits), read in ascending slot order.
-
-    For terms with one variable of each listed slot per monomial, distinct
-    letters within a monomial, and alternating under renaming those slots
-    (an insertion chain), every orbit of k! = len(slots)! monomials keeps
-    exactly one, and terms = sum over pi of sgn(pi) * pi(kept).
-    """
-    if len(slots) < 2:
-        return terms
-    keys = {PKIND << _W | s for s in slots}
-    letters = (1 << _SLOT) - 1
-    out = {}
-    for m, c in terms.items():
-        last = -1
-        for v in m.even:  # sorted, so the listed slots come in ascending order
-            if v >> _SLOT in keys:
-                if v & letters <= last:
-                    break
-                last = v & letters
-        else:
-            out[m] = c
-    return out
-
-
 def _shift(v: int, step: int) -> JetVariable:
     """v moved by step = +-_STEP[i]: the total derivative D_i of one variable, or its inverse."""
     w = v + step

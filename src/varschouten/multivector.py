@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
 from operator import itemgetter
 
 from .algebra import (
@@ -99,16 +98,33 @@ def iota(f: DiffPolynomial, slot: int) -> DiffPolynomial:
         return f
     if k < 1:
         raise DomainError("cannot insert a covector into a degree-0 density")
-    return _iota_sum(f, slot, k).scaled(Fraction(1, k))
-
-
-def _iota_sum(f: DiffPolynomial, slot: int, k: int) -> DiffPolynomial:
-    """k * iota(f, slot) for f of b-degree k, accumulated in one term dict;
-    int coefficients stay int."""
     out: dict = {}
     for j in range(1, k + 1):
         for m, c in f.substitute_odd({j: slot}).terms.items():
             _add_term(out, m, c if (k - j) % 2 == 0 else -c)
+    return DiffPolynomial(f.geometry, out).scaled(Fraction(1, k))
+
+
+def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...], keep_one: bool) -> DiffPolynomial:
+    """One representative per orbit of f inserted along chain by the unscaled
+    insertion sums (k * iota at b-degree k), f of b-degree len(chain), or one
+    more if keep_one: the inserted odd letters, in ascending order, go to the
+    chain's slots in ascending order.
+
+    The step that gives a letter away signs it (-1)^(number of letters after
+    it in the word).  Summed over the chain, that counts the pairs of slots the
+    chain inserts in ascending order, the sign of sorting the chain reversed,
+    and (-1)^(r-1) more when the letter at position r stays odd.  Every other
+    term of the chain is a renaming of the slots of one of these, signed by it.
+    """
+    sign = _sort_word(list(reversed(chain)))[0]
+    degree = len(chain) + keep_one
+    out: dict = {}
+    for r in range(1, degree + 1) if keep_one else (0,):
+        positions = [p for p in range(1, degree + 1) if p != r]
+        for m, c in f.substitute_odd(dict(zip(positions, sorted(chain)))).terms.items():
+            _add_term(out, m, c if sign > 0 else -c)
+        sign = -sign  # one more inserted letter precedes the next letter kept odd
     return DiffPolynomial(f.geometry, out)
 
 
@@ -166,7 +182,7 @@ def _evaluate_terms(terms: dict, slots: tuple[int, ...]) -> dict:
     out: dict = {}
     for (base, even, odd), c in terms.items():
         table = [_with_slot(v, PKIND, slot) for v in odd for slot in slots]
-        plus = Fraction(c, factorial(k))
+        plus = Fraction(c, len(perms))  # len(perms) = k!
         minus = -plus
         for sign, pick in perms:
             out[Monomial(base, tuple(sorted(even + pick(table))), ())] = plus if sign > 0 else minus

@@ -13,27 +13,33 @@ Recursive route: the bracket is pinned down by its fully inserted values,
     [[xi,eta]](p) = l/(k+l-1) [[xi, eta(p)]] + (-1)^(l-1) k/(k+l-1) [[xi(p), eta]],
 
 bottoming out at [[H, phi]] = int d_phi(H) and [[phi, H]] = -int d_phi(H).
-With eta(p) = (1/l) * (unscaled insertion sum), every step weighs 1/(k+l-1),
-so every leaf weighs +-1/(k+l-1)!: the recursion carries only a sign down to
-the leaves and divides by (k+l-1)! once.  Every leaf has one of two shapes,
-(k, l) -> (0, 1) or (1, 0), and leaves of one shape differ only in which slot
-numbers went to xi and which to eta.  Renaming slots commutes with insertion,
-D_i, partials and products, and from_slots turns a renaming pi of the slots
-into its sign: from_slots(pi L) = sgn(pi) from_slots(L).  So the route never
-builds the inserted sum: each path adds the integer sign * sgn(rename) to its
-shape's weight, and the density is sum_shape weight * from_slots(leaf).
+With eta(p) = (1/l) * (unscaled insertion sum), every step weighs
++-1/(k+l-1), so every leaf weighs +-1/(k+l-1)!.  Every leaf has one of two
+shapes, (k, l) -> (0, 1) or (1, 0), and leaves of one shape differ only in
+which slots went to xi and which to eta.  Renaming slots commutes with
+insertion, D_i, partials and products, and from_slots turns a renaming pi of
+the slots into its sign: from_slots(pi L) = sgn(pi) from_slots(L).  So each
+shape's leaf is built once, on fixed chains of slots, and each path to it
+adds sign * sgn(rename).  Swapping an adjacent xi-step and eta-step of a path
+flips both its step sign (the parity of eta's degree) and sgn(rename) (one
+transposition), so every path of a shape adds the same sign, that of the path
+that inserts all of eta first.  The shapes' weights are therefore
 
-Each leaf is built from one representative per orbit of its arguments' chain
-slots (algebra._orbit_representatives): a fully inserted chain is alternating
-in its slots, and field application commutes with renaming them, so the leaf
-built from the representatives, times k!(l-1)! for shape (0, 1) or (k-1)! l!
-for shape (1, 0), rebuilds to the same density.  The route's inserted value
-is the evaluation of the published density on the slots
-(multivector._evaluate_terms): the same polynomial, term for term, as
+    (0, 1):  (-1)^(C(l-1,2) + k(l-1)) C(k+l-1, k),
+    (1, 0):  (-1)^(C(l,2) + (k-1)(l+1)) C(k+l-1, k-1), on -int d_phi(H).
+
+A fully inserted chain is alternating in its slots, and field application
+commutes with renaming them, so a leaf is the leaf of its arguments' orbit
+representatives (multivector._chain_representatives) times the orbits'
+sizes, k!(l-1)! for shape (0, 1) and (k-1)! l! for shape (1, 0).  Times the
+binomials, both are (k+l-1)!, which cancels the leaves' 1/(k+l-1)!: each
+shape's leaf of representatives enters the density with a plain sign.  The
+route's inserted value is the evaluation of the published density on the
+slots (multivector._evaluate_terms): the same polynomial, term for term, as
 inserting along every path.
 
 One application loop, _apply_into, serves the field route, the base case and
-the recursion's leaves, which fold their sign into the sections.
+the recursion's leaves.
 
 Every route is multilinear, so it clears its arguments' denominators once
 (algebra._integral), computes and decides exactness in ints, and divides once.
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
 
 from .algebra import (
     BKIND,
@@ -68,10 +73,8 @@ from .algebra import (
     _integral,
     _jet,
     _mul_into,
-    _orbit_representatives,
-    _sort_word,
 )
-from .multivector import Multivector, _evaluate_terms, _iota_sum, from_slots
+from .multivector import Multivector, _chain_representatives, _evaluate_terms, from_slots
 from .variational import Functional, _euler_fibers, is_exact
 
 
@@ -235,59 +238,30 @@ def bracket_base_case(h: Multivector, phi: Multivector) -> Multivector:
 def _recursive_density(
     f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...]
 ) -> dict:
-    """(k+l-1)! * the density of [[f, g]], rebuilt from its values on slots, as
-    a term dict; k + l >= 1.
-
-    The step weight l/(k+l-1) or (-1)^(l-1) k/(k+l-1) times the insertion's
-    1/l or 1/k is +-1/(k+l-1) on every path, so the recursion inserts with the
-    unscaled _iota_sum and carries only the sign: (-1)^(l-1) on the k branch,
-    - at the [[phi, H]] leaf.  Int coefficients stay int.
+    """The density of [[f, g]], rebuilt from its values on slots, as a term
+    dict; k + l >= 1.  Int coefficients stay int.
 
     f is inserted along slots[-1], slots[-2], ... and g along slots[0],
     slots[1], ..., two chains whose slots are disjoint at either leaf shape.
-    The walk gives the slots away last first, as the recursion does; a path
-    would insert its shape's leaf with the chain slots renamed to the slots
-    each argument took, so it adds sign * sgn(rename) to its shape's weight,
-    and each shape's leaf is rebuilt once (module docstring).
+    Each shape's leaf is built once, from its arguments' orbit representatives
+    on those chains, and enters with the sign of its closed-form weight: the
+    weight's binomial times the orbits' sizes is the (k+l-1)! that the
+    leaves' 1/(k+l-1)! cancels (module docstring).
     """
-    total = len(slots)
-    weights = [0, 0]  # shape (0, 1), reached at i = k; shape (1, 0), at i = k - 1
-
-    def walk(i: int, j: int, took: list, sign: int) -> None:
-        if i + j == total:
-            weights[i < k] += sign * _sort_word(took[:])[0]
-            return
-        p = total - 1 - i - j  # position of the next slot; took[c] is where chain position c went
-        if j < l:
-            took[j] = p
-            walk(i, j + 1, took, sign)
-        if i < k:
-            took[total - 1 - i] = p
-            walk(i + 1, j, took, sign if (l - j) % 2 else -sign)
-
-    walk(0, 0, [0] * total, 1)
-    fs, gs = [f], [g]
-    for i in range(k if l else k - 1):
-        fs.append(_iota_sum(fs[i], slots[total - 1 - i], k - i))
-    for j in range(l if k else l - 1):
-        gs.append(_iota_sum(gs[j], slots[j], l - j))
     out: dict = {}
 
-    def leaf(h: DiffPolynomial, h_slots, phi: DiffPolynomial, phi_slots, weight: int) -> None:
-        """Add weight * from_slots(int d_phi(H)), from one representative per orbit
-        of each argument's chain slots, times the orbits' sizes."""
+    def leaf(h: DiffPolynomial, h_chain, phi: DiffPolynomial, phi_chain, sign: int) -> None:
+        """Add sign * from_slots(int d_phi(H)), H and phi inserted along their chains."""
         terms: dict = {}
-        phi = DiffPolynomial(phi.geometry, _orbit_representatives(phi.terms, phi_slots))
-        h = DiffPolynomial(h.geometry, _orbit_representatives(h.terms, h_slots))
-        _apply_into(terms, h, _section_of(phi), ())
-        weight *= factorial(len(h_slots)) * factorial(len(phi_slots))
+        phi = _chain_representatives(phi, phi_chain, keep_one=True)
+        _apply_into(terms, _chain_representatives(h, h_chain, keep_one=False), _section_of(phi), ())
         for m, c in from_slots(DiffPolynomial(h.geometry, terms), slots).density.terms.items():
-            _add_term(out, m, weight * c)
+            _add_term(out, m, c if sign > 0 else -c)
 
-    if weights[0]:  # [[H, phi]] = int d_phi(H)
-        leaf(fs[k], slots[l - 1 :], gs[l - 1], slots[: l - 1], weights[0])
-    if weights[1]:  # [[phi, H]] = -int d_phi(H)
-        leaf(gs[l], slots[:l], fs[k - 1], slots[l:], -weights[1])
+    if l:  # [[H, phi]] = int d_phi(H), weight (-1)^(C(l-1,2) + k(l-1)) C(k+l-1, k)
+        leaf(f, slots[l - 1 :][::-1], g, slots[: l - 1], (-1) ** ((l - 1) * (l - 2) // 2 + k * (l - 1)))
+    if k:  # [[phi, H]] = -int d_phi(H), weight (-1)^(C(l,2) + (k-1)(l+1)) C(k+l-1, k-1)
+        leaf(g, slots[:l], f, slots[l:][::-1], -((-1) ** (l * (l - 1) // 2 + (k - 1) * (l + 1))))
     return out
 
 
@@ -306,8 +280,8 @@ def bracket_recursive(
     if total < 0:
         zero = DiffPolynomial.zero(geo)
         return _report(zero, Fraction(1), "recursive", k, l, inserted=Functional(zero), slots=())
+    used = xi.density.slots_used() | eta.density.slots_used()
     if slots is None:
-        used = xi.density.slots_used() | eta.density.slots_used()
         free = [j for j in range(1, geo.s + 1) if j not in used]
         if len(free) < total:
             raise DomainError(
@@ -319,7 +293,6 @@ def bracket_recursive(
             raise DomainError(f"recursion needs exactly {total} slots")
         if len(set(slots)) != total:
             raise DomainError("insertion slots must be distinct")
-        used = xi.density.slots_used() | eta.density.slots_used()
         for j in slots:
             if not 1 <= j <= geo.s:
                 raise DomainError(f"slot {j} outside 1..{geo.s}")
@@ -327,7 +300,7 @@ def bracket_recursive(
                 raise DomainError(f"slot {j} already occupied by an argument")
     (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
     density = DiffPolynomial(geo, _recursive_density(f, k, g, l, slots))
-    report = _report(density, Fraction(1, df * dg * factorial(total)), "recursive", k, l)
+    report = _report(density, Fraction(1, df * dg), "recursive", k, l)
     inserted = _evaluate_terms(report.representative.density.terms, slots)
     return replace(report, inserted=Functional(DiffPolynomial(geo, inserted)), slots=slots)
 

@@ -8,7 +8,6 @@ two dimensions.
 """
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,9 +48,7 @@ from varschouten import (
     var_q,
 )
 
-from varschouten.algebra import _orbit_representatives
 from varschouten.batteries import _DEGREE_PAIRS
-from varschouten.multivector import _iota_sum
 
 from helpers import COPRIME_COEFFS, G11, G22, naive_apply, polynomials, reference_inserted
 
@@ -291,13 +288,18 @@ def assert_matches_reference(xi, eta, slots):
 @pytest.mark.parametrize(
     "geo,k,l,slots",
     [(Geometry(1, 1, 4), 2, 2, (4, 1, 3)), (Geometry(2, 2, 3), 3, 1, (3, 1, 2)),
-     (Geometry(1, 1, 4), 3, 2, (2, 4, 1, 3))],
-    ids=["G114-2-2", "G223-3-1", "G114-3-2"],
+     (Geometry(1, 1, 4), 3, 2, (2, 4, 1, 3)), (Geometry(1, 2, 5), 3, 3, (5, 2, 4, 1, 3)),
+     (Geometry(1, 2, 5), 4, 1, (3, 1, 4, 2)), (Geometry(1, 2, 5), 1, 4, (2, 4, 1, 3)),
+     (Geometry(2, 2, 5), 2, 3, (5, 3, 1, 4))],
+    ids=["G114-2-2", "G223-3-1", "G114-3-2", "G125-3-3", "G125-4-1", "G125-1-4", "G225-2-3"],
 )
 def test_recursion_renames_unsorted_user_slots(geo, k, l, slots):
-    """Leaves are computed once per shape and renamed onto each path's slots;
-    user slots out of order and with gaps must rename exactly."""
-    cfg = GeneratorConfig(geometry=geo, seed=4, max_order=2)
+    """Each leaf's orbit representatives send the inserted letters, in
+    ascending order, to its chains' slots in ascending order, and the sorting
+    signs of the chains and the closed-form signs of the two shapes must hold
+    on user slots out of order and with gaps, up to degree pairs (3, 3), (4, 1)
+    and (1, 4)."""
+    cfg = GeneratorConfig(geometry=geo, seed=4, max_order=2, max_degree=4)
     for case in range(2):
         xi = random_multivector(cfg, k, salt=f"rename:{case}:xi")
         eta = random_multivector(cfg, l, salt=f"rename:{case}:eta")
@@ -306,9 +308,9 @@ def test_recursion_renames_unsorted_user_slots(geo, k, l, slots):
 
 @pytest.mark.parametrize("geo", [Geometry(1, 1, 4), Geometry(2, 2, 4)], ids=["G11", "G22"])
 def test_recursion_matches_reference_on_shuffled_slots(geo):
-    """Path weights, orbit representatives and the inserted value evaluated from
-    the density, against the eager recursion term for term, on explicit slots
-    in any order (G11 and G22 with four slots)."""
+    """The density rebuilt from the two leaves' orbit representatives, and the
+    inserted value evaluated from it, against the eager recursion term for
+    term, on explicit slots in any order (G11 and G22 with four slots)."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]),
@@ -324,22 +326,6 @@ def test_recursion_matches_reference_on_shuffled_slots(geo):
         assert r.representative.density == from_slots(expected, slots).density
 
     run()
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_orbit_filter_keeps_one_monomial_per_orbit(k):
-    """An insertion chain of k slots is alternating in them: the filter keeps
-    len // k! of its monomials, with their coefficients."""
-    cfg = GeneratorConfig(geometry=Geometry(2, 2, 4), seed=3, max_order=2)
-    slots = (4, 1, 3)[:k]
-    for case in range(3):
-        chain = random_multivector(cfg, k, salt=f"orbit:{case}").density
-        for i, slot in enumerate(slots):
-            chain = _iota_sum(chain, slot, k - i)
-        kept = _orbit_representatives(chain.terms, slots)
-        assert len(chain.terms) % factorial(k) == 0
-        assert len(kept) == len(chain.terms) // factorial(k) > 0
-        assert kept.items() <= chain.terms.items()
 
 
 def test_recursion_leaves_argument_slots_alone():

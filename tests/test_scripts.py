@@ -3,8 +3,8 @@
 Each runs in a subprocess against the checkout's src/ (see conftest.py),
 the way a reader would start it.  The worked examples print exact values,
 so their whole output is compared with the files in tests/golden/.
-bench_pairs.py takes half an hour, so only its summary function and its
-battery runs (with two cases) are checked.
+bench_pairs.py takes half an hour, so only its summary function, its
+battery runs (with two cases) and its line count of the engine are checked.
 """
 
 import importlib.util
@@ -62,3 +62,13 @@ def test_bench_pairs_times_the_definitions_battery_at_each_geometry():
     assert list(got) == ["2,2,3", "3,1,3", "1,2,4"]
     for run in got.values():
         assert run["failures"] == 0 and run["wall_time_s"] > 0
+
+
+def test_bench_pairs_counts_the_engine_lines_of_a_tree(tmp_path):
+    engine = tmp_path / "src" / "varschouten"
+    (engine / "sub").mkdir(parents=True)
+    (engine / "a.py").write_text("one\ntwo\nthree\n")
+    (engine / "b.py").write_text("four\nfive")  # no final newline: wc -l counts 1
+    (engine / "notes.txt").write_text("not\ncounted\n")
+    (engine / "sub" / "c.py").write_text("not counted\n")
+    assert load_bench_pairs().src_lines(tmp_path) == 4
