@@ -26,7 +26,8 @@ Everything downstream leans on the conventions fixed here:
   length-k word carries (-1)^(r-1); the right partial carries (-1)^(k-r).
   _gradient is the one home of these signs: it is the only code that
   differentiates a monomial by a jet variable, and partial, the Euler
-  operator and the field action all read their partials from it.
+  operator and the field action all read their partials from it, keyed by
+  family as {family code: {index bits: term dict}}, the layout they walk.
 * _derive_into, which adds +-D_i of a term dict into another, is the one
   Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
   and the Euler operator _euler (downward along the same prefixes) all use it.
@@ -284,7 +285,7 @@ def _mul_into(out: dict, left: dict, right: dict) -> None:
 
 
 def _gradient(terms: dict, side: str = LEFT) -> dict:
-    """Every nonzero partial derivative of a term dict, as {JetVariable: term dict}.
+    """Every nonzero partial derivative of a term dict, as {family: {index bits: term dict}}.
 
     One scan differentiates each monomial by each of its factors: an even
     power v^e, a run of e equal entries, is differentiated once at its first
@@ -299,11 +300,12 @@ def _gradient(terms: dict, side: str = LEFT) -> dict:
             if t and v == even[t - 1]:
                 continue
             e = bisect_right(even, v, t) - t
-            grad.setdefault(v, {})[Monomial(base, even[:t] + even[t + 1 :], odd)] = c if e == 1 else e * c
+            part = grad.setdefault(v >> _FIBER, {}).setdefault(v & _INDEX, {})
+            part[Monomial(base, even[:t] + even[t + 1 :], odd)] = c if e == 1 else e * c
         for i, v in enumerate(odd):
             flips = i if side == LEFT else len(odd) - 1 - i
-            rest = Monomial(base, even, odd[:i] + odd[i + 1 :])
-            grad.setdefault(v, {})[rest] = -c if flips % 2 else c
+            part = grad.setdefault(v >> _FIBER, {}).setdefault(v & _INDEX, {})
+            part[Monomial(base, even, odd[:i] + odd[i + 1 :])] = -c if flips % 2 else c
     return grad
 
 
@@ -459,7 +461,8 @@ class DiffPolynomial:
         """Graded partial derivative with respect to a jet variable; left and right
         coincide for even variables, odd ones take the signs of the module docstring."""
         _check_var(v, self.geometry)
-        return DiffPolynomial(self.geometry, _gradient(self.terms, side).get(v, {}))
+        parts = _gradient(self.terms, side).get(v >> _FIBER, {})
+        return DiffPolynomial(self.geometry, parts.get(v & _INDEX, {}))
 
     def total_derivative(self, dim: int) -> "DiffPolynomial":
         """Total derivative D_dim: Leibniz over base powers and all jet factors."""
@@ -500,8 +503,8 @@ class DiffPolynomial:
         """Replace the i-th odd factor (1-based, canonical order) by the slot variable
         with the same fiber and index.
 
-        The replacement is even, so it commutes out of the odd word with no sign;
-        monomials lacking a named position are left unchanged.
+        The replacement is even, so it commutes out of the odd word with no sign.
+        A monomial gets only the positions its word has: {1: 1, 3: 2} turns b*b_x into p1*b_x.
         """
         g = self.geometry
         for pos, slot in assignments.items():
@@ -575,14 +578,6 @@ def _jet(jets: dict, ix: int) -> dict:
         jets[ix] = got = {}
         _derive_into(got, _jet(jets, ix - _STEP[d]), d)
     return got
-
-
-def _by_family(grad: dict) -> dict:
-    """A gradient's parts as {family code: {index bits: term dict}}, in grad's order."""
-    out: dict = {}
-    for v, part in grad.items():
-        out.setdefault(v >> _FIBER, {})[v & _INDEX] = part
-    return out
 
 
 def _euler(parts: dict) -> dict:

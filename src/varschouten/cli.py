@@ -299,10 +299,7 @@ def main(argv=None) -> int:
     except ParseError as pe:
         print(f"parse error: {pe}", file=sys.stderr)
         return 2
-    except (DomainError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

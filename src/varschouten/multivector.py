@@ -105,11 +105,11 @@ def iota(f: DiffPolynomial, slot: int) -> DiffPolynomial:
     return DiffPolynomial(f.geometry, out).scaled(Fraction(1, k))
 
 
-def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...], keep_one: bool) -> DiffPolynomial:
+def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...]) -> DiffPolynomial:
     """One representative per orbit of f inserted along chain by the unscaled
     insertion sums (k * iota at b-degree k), f of b-degree len(chain), or one
-    more if keep_one: the inserted odd letters, in ascending order, go to the
-    chain's slots in ascending order.
+    more to keep one letter odd: the inserted odd letters, in ascending order,
+    go to the chain's slots in ascending order; f itself if chain or f is empty.
 
     The step that gives a letter away signs it (-1)^(number of letters after
     it in the word).  Summed over the chain, that counts the pairs of slots the
@@ -117,10 +117,12 @@ def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...], keep_one: 
     and (-1)^(r-1) more when the letter at position r stays odd.  Every other
     term of the chain is a renaming of the slots of one of these, signed by it.
     """
+    if not chain or f.is_zero:
+        return f
+    degree = f.homogeneous_degree()
     sign = _sort_word(list(reversed(chain)))[0]
-    degree = len(chain) + keep_one
     out: dict = {}
-    for r in range(1, degree + 1) if keep_one else (0,):
+    for r in range(1, degree + 1) if degree > len(chain) else (0,):
         positions = [p for p in range(1, degree + 1) if p != r]
         for m, c in f.substitute_odd(dict(zip(positions, sorted(chain)))).terms.items():
             _add_term(out, m, c if sign > 0 else -c)
@@ -142,17 +144,21 @@ def evaluate(xi: Multivector, slots: list[int] | tuple[int, ...]) -> Functional:
     k = xi.degree
     if len(slots) != k:
         raise DomainError(f"degree-{k} multivector takes {k} covector arguments")
-    if len(set(slots)) != len(slots):
-        raise DomainError("covector slots must be distinct")
-    used = xi.density.slots_used()
-    for slot in slots:
-        if not 1 <= slot <= xi.geometry.s:
-            raise DomainError(f"covector slot {slot} outside geometry bounds (s={xi.geometry.s})")
-        if slot in used:
-            raise DomainError(f"slot {slot} already used in the multivector")
+    _check_slots(slots, xi.geometry, xi.density.slots_used())
     if k == 0:
         return xi.functional
     return Functional(DiffPolynomial(xi.geometry, _evaluate_terms(xi.density.terms, tuple(slots))))
+
+
+def _check_slots(slots, g: Geometry, used: set[int]) -> None:
+    """Covector slots to evaluate on must be distinct, in 1..s and not used by an argument."""
+    if len(set(slots)) != len(slots):
+        raise DomainError("covector slots must be distinct")
+    for slot in slots:
+        if not 1 <= slot <= g.s:
+            raise DomainError(f"covector slot {slot} outside geometry bounds (s={g.s})")
+        if slot in used:
+            raise DomainError(f"slot {slot} already used in the multivector")
 
 
 @cache

@@ -33,8 +33,10 @@ commutes with renaming them, so a leaf is the leaf of its arguments' orbit
 representatives (multivector._chain_representatives) times the orbits'
 sizes, k!(l-1)! for shape (0, 1) and (k-1)! l! for shape (1, 0).  Times the
 binomials, both are (k+l-1)!, which cancels the leaves' 1/(k+l-1)!: each
-shape's leaf of representatives enters the density with a plain sign.  The
-route's inserted value is the evaluation of the published density on the
+shape's leaf of representatives enters the density with a plain sign, folded
+into its H.  Every leaf term carries every slot once and from_slots is
+linear, so the two leaves add into one term dict and from_slots runs once,
+on the sum.  The route's inserted value is the evaluation of the published density on the
 slots (multivector._evaluate_terms): the same polynomial, term for term, as
 inserting along every path.
 
@@ -67,14 +69,13 @@ from .algebra import (
     DomainError,
     Geometry,
     _add_term,
-    _by_family,
     _family,
     _gradient,
     _integral,
     _jet,
     _mul_into,
 )
-from .multivector import Multivector, _chain_representatives, _evaluate_terms, from_slots
+from .multivector import Multivector, _chain_representatives, _check_slots, _evaluate_terms, from_slots
 from .variational import Functional, _euler_fibers, is_exact
 
 
@@ -114,7 +115,7 @@ def _apply_into(out: dict, f: DiffPolynomial, q_sections, b_sections) -> None:
     into the term dict out, for both kinds from one gradient of f; each jet
     D_sigma(sec) is built once, from a shorter one.
     """
-    parts = _by_family(_gradient(f.terms))
+    parts = _gradient(f.terms)
     for kind, sections in ((QKIND, q_sections), (BKIND, b_sections)):
         for alpha, sec in enumerate(sections, 1):
             if sec.is_zero:
@@ -193,9 +194,7 @@ def schouten_density(f: DiffPolynomial, g: DiffPolynomial) -> DiffPolynomial:
     return DiffPolynomial(geo, out)
 
 
-def _report(
-    density: DiffPolynomial, scale: Fraction, method: str, k: int, l: int, **extra
-) -> BracketReport:
+def _report(density: DiffPolynomial, scale: Fraction, method: str, k: int, l: int) -> BracketReport:
     """Decide the class of a cleared density and publish density * scale."""
     zero = is_exact(density)
     density = density.scaled(scale)
@@ -207,7 +206,6 @@ def _report(
         zero=zero,
         degree=deg,
         result=result,
-        **extra,
     )
 
 
@@ -239,30 +237,28 @@ def _recursive_density(
     f: DiffPolynomial, k: int, g: DiffPolynomial, l: int, slots: tuple[int, ...]
 ) -> dict:
     """The density of [[f, g]], rebuilt from its values on slots, as a term
-    dict; k + l >= 1.  Int coefficients stay int.
+    dict.  Int coefficients stay int.
 
     f is inserted along slots[-1], slots[-2], ... and g along slots[0],
     slots[1], ..., two chains whose slots are disjoint at either leaf shape.
     Each shape's leaf is built once, from its arguments' orbit representatives
-    on those chains, and enters with the sign of its closed-form weight: the
-    weight's binomial times the orbits' sizes is the (k+l-1)! that the
-    leaves' 1/(k+l-1)! cancels (module docstring).
+    on those chains, with the sign of its closed-form weight folded into H:
+    the weight's binomial times the orbits' sizes is the (k+l-1)! that the
+    leaves' 1/(k+l-1)! cancels (module docstring).  Both leaves carry every
+    slot once, and from_slots is linear, so it runs once, on their sum.
     """
-    out: dict = {}
+    terms: dict = {}
 
     def leaf(h: DiffPolynomial, h_chain, phi: DiffPolynomial, phi_chain, sign: int) -> None:
-        """Add sign * from_slots(int d_phi(H)), H and phi inserted along their chains."""
-        terms: dict = {}
-        phi = _chain_representatives(phi, phi_chain, keep_one=True)
-        _apply_into(terms, _chain_representatives(h, h_chain, keep_one=False), _section_of(phi), ())
-        for m, c in from_slots(DiffPolynomial(h.geometry, terms), slots).density.terms.items():
-            _add_term(out, m, c if sign > 0 else -c)
+        """Add sign * int d_phi(H) into terms, H and phi inserted along their chains."""
+        h = _chain_representatives(h if sign > 0 else -h, h_chain)
+        _apply_into(terms, h, _section_of(_chain_representatives(phi, phi_chain)), ())
 
     if l:  # [[H, phi]] = int d_phi(H), weight (-1)^(C(l-1,2) + k(l-1)) C(k+l-1, k)
         leaf(f, slots[l - 1 :][::-1], g, slots[: l - 1], (-1) ** ((l - 1) * (l - 2) // 2 + k * (l - 1)))
     if k:  # [[phi, H]] = -int d_phi(H), weight (-1)^(C(l,2) + (k-1)(l+1)) C(k+l-1, k-1)
         leaf(g, slots[:l], f, slots[l:][::-1], -((-1) ** (l * (l - 1) // 2 + (k - 1) * (l + 1))))
-    return out
+    return from_slots(DiffPolynomial(f.geometry, terms), slots).density.terms
 
 
 def bracket_recursive(
@@ -276,10 +272,7 @@ def bracket_recursive(
     """
     k, l = xi.degree, eta.degree
     geo = xi.geometry
-    total = k + l - 1
-    if total < 0:
-        zero = DiffPolynomial.zero(geo)
-        return _report(zero, Fraction(1), "recursive", k, l, inserted=Functional(zero), slots=())
+    total = max(k + l - 1, 0)
     used = xi.density.slots_used() | eta.density.slots_used()
     if slots is None:
         free = [j for j in range(1, geo.s + 1) if j not in used]
@@ -288,16 +281,9 @@ def bracket_recursive(
                 f"recursion needs {total} free covector slots, geometry offers {len(free)}"
             )
         slots = tuple(free[:total])
-    else:
-        if len(slots) != total:
-            raise DomainError(f"recursion needs exactly {total} slots")
-        if len(set(slots)) != total:
-            raise DomainError("insertion slots must be distinct")
-        for j in slots:
-            if not 1 <= j <= geo.s:
-                raise DomainError(f"slot {j} outside 1..{geo.s}")
-            if j in used:
-                raise DomainError(f"slot {j} already occupied by an argument")
+    elif len(slots) != total:
+        raise DomainError(f"recursion needs exactly {total} slots")
+    _check_slots(slots, geo, used)
     (f, df), (g, dg) = _integral(xi.density), _integral(eta.density)
     density = DiffPolynomial(geo, _recursive_density(f, k, g, l, slots))
     report = _report(density, Fraction(1, df * dg), "recursive", k, l)

@@ -28,7 +28,6 @@ from .algebra import (
     GeometryMismatch,
     Monomial,
     _add_term,
-    _by_family,
     _euler,
     _family,
     _gradient,
@@ -42,14 +41,13 @@ def var_derivative(
     f: DiffPolynomial, kind: int, fiber: int, slot: int = 0, side: str = LEFT
 ) -> DiffPolynomial:
     """Euler operator of one variable family, read from f's gradient."""
-    parts = _by_family(_gradient(f.terms, side)).get(_family(kind, fiber, slot), {})
+    parts = _gradient(f.terms, side).get(_family(kind, fiber, slot), {})
     return DiffPolynomial(f.geometry, _euler(parts))
 
 
 def _euler_fibers(grad: dict, g: Geometry, kind: int) -> tuple[DiffPolynomial, ...]:
-    """delta/delta u^a for a = 1..m, u the q or b family of kind, all read from one gradient."""
-    parts = _by_family(grad)
-    return tuple(DiffPolynomial(g, _euler(parts.get(_family(kind, a), {}))) for a in range(1, g.m + 1))
+    """delta/delta u^a for a = 1..m, u the q or b family of kind, from (and consuming) one gradient."""
+    return tuple(DiffPolynomial(g, _euler(grad.get(_family(kind, a), {}))) for a in range(1, g.m + 1))
 
 
 def var_q(f: DiffPolynomial, fiber: int) -> DiffPolynomial:
@@ -69,8 +67,8 @@ def is_exact(f: DiffPolynomial) -> bool:
     """True iff f is a total divergence (plus a pure base-variable part);
     decided on f with its denominators cleared, which keeps the verdict."""
     f = _integral(f)[0]
-    parts = _by_family(_gradient(f.terms, LEFT))  # the right Euler operator is +-(left)
-    return not any(_euler(parts[family]) for family in sorted(parts))
+    grad = _gradient(f.terms, LEFT)  # the right Euler operator is +-(left)
+    return not any(_euler(grad[family]) for family in sorted(grad))
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,6 +179,9 @@ def test_substitute_odd_positions():
     assert swapped == expected
     # a position beyond the word leaves the monomial alone
     assert f.substitute_odd({3: 1}) == f
+    # the positions the word has are substituted, the others skipped
+    p1 = DiffPolynomial.variable(g, pvar(1, 1))
+    assert f.substitute_odd({1: 1, 3: 2}) == p1 * DiffPolynomial.variable(g, bvar(1, 1))
 
 
 def test_substitute_slot_transports_sections():

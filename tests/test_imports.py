@@ -7,6 +7,10 @@ so both are exempt.
 
 A second scan keeps the packed JetVariable layout private to algebra.py: no
 other module under src/ imports one of its bit-layout constants.
+
+A third scan finds dead private helpers: every private (one leading
+underscore) name that a module under src/varschouten/ defines at its top
+level must be read, as a name or an attribute, somewhere in src/.
 """
 
 import ast
@@ -77,3 +81,36 @@ def test_the_scan_sees_a_bit_layout_import():
 )
 def test_only_algebra_reads_the_bit_layout(path):
     assert bit_layout_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Private names a module defines at its top level: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unreferenced_privates(sources: list[str]) -> list[str]:
+    """Private top-level names of the sources that no source reads."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set().union(*map(private_definitions, sources)) - read)
+
+
+def test_the_scan_sees_an_unreferenced_private_name():
+    sources = ["_A, _B = 1, 2\nclass _C: pass\ndef _d():\n    return _A\n", "import m\nm._d()\n"]
+    assert unreferenced_privates(sources) == ["_B", "_C"]
+
+
+def test_every_private_name_in_src_is_referenced():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "varschouten").rglob("*.py"))]
+    assert unreferenced_privates(sources) == []

@@ -239,6 +239,15 @@ def test_empty_base_case_is_zero():
     assert r.zero and r.representative.is_zero and r.slots == ()
 
 
+def test_two_zero_vectors_check_their_slots():
+    h, k = mv((1, [], [qvar(1), qvar(1)], [])), mv((1, [(1, 1)], [qvar(1, 1)], []))
+    with pytest.raises(DomainError):
+        bracket_recursive(h, k, slots=(1, 2, 9))
+    for r in (bracket_recursive(h, k), bracket_recursive(h, k, slots=())):
+        assert r.zero and r.degree is None and r.slots == ()
+        assert r.representative.density.is_zero and r.inserted.density.is_zero
+
+
 @settings(max_examples=12, deadline=None)
 @given(degree_pair(2, 1))
 def test_recursion_agrees_with_density_route(pair):
