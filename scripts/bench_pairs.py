@@ -17,13 +17,17 @@ each side runs `perfbench/run.py --trace 1 --seed 1` once per workload, and
 the file records every per-layer metric of those runs under
 "per_layer": {workload: {metric: {"parent": v, "change": v}}}, so that it shows
 in which layer a change of the end-to-end metrics sits.  Last, each side runs
-the verification batteries once, `batteries.run_all(GeneratorConfig(seed=0,
+the verification batteries, `batteries.run_all(GeneratorConfig(seed=0,
 max_order=2), cases=100)` in a subprocess on that side's src/, and the file
 records each battery's wall time and failure count under "batteries", so a
 change to the engine also shows at the battery layer.  Each side also runs
-`battery_definitions_agree` once at each geometry (n,m,s) of GEOMETRIES,
-which the benchmark's workloads do not reach, with the wall time and
-failure count of each under "geometries".  "src_lines": {"parent": N,
+`battery_definitions_agree` at each geometry (n,m,s) of GEOMETRIES, which
+the benchmark's workloads do not reach, with the wall time and failure
+count of each under "geometries".  One run per side cannot tell a change
+from the machine's spread, so both blocks run REPEATS times per side, which
+side goes first alternating, and record for each battery and side the
+median wall time with its min and max, every run's time and every run's
+failure count.  "src_lines": {"parent": N,
 "change": M} is the size of each side's engine, the total `wc -l` of
 src/varschouten/*.py in its exported tree.  The change's SHA is
 HEAD's; when the checkout has uncommitted edits as the run starts, the file
@@ -34,8 +38,9 @@ carrying that engine.
 Without --out the JSON goes to stdout; progress goes to stderr.
 
 A run takes about pairs * workloads * 2 * (seconds + 10 s of set-up and
-checks), plus a few seconds per traced run and per battery run: some 25 to
-40 minutes at the defaults, which is why Tier-1 does not run it.
+checks), plus a few seconds per traced run and some 15 to 30 s per
+repeat of the two battery blocks: some 30 to 45 minutes at the defaults,
+which is why Tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -142,6 +147,27 @@ def geometry_times(tree: Path, cases: int = GEOMETRY_CASES) -> dict:
     return {",".join(map(str, g)): {"wall_time_s": t, "failures": n} for g, (t, n) in zip(GEOMETRIES, runs)}
 
 
+REPEATS = 3
+
+
+def repeat_sides(trees: dict, timer, repeats: int = REPEATS) -> dict:
+    """{side: [timer(tree), ...]}, repeats runs per side, which side goes first alternating."""
+    runs: dict = {side: [] for side in SIDES}
+    for i in range(repeats):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(timer(trees[side]))
+    return runs
+
+
+def spread(runs: list[dict]) -> dict:
+    """The repeated runs of one battery on one side: the median wall time with
+    its min and max, every run's time, and every run's failure count."""
+    times = [r["wall_time_s"] for r in runs]
+    return {"wall_time_s": {"median": statistics.median(times), "min": min(times), "max": max(times),
+                            "runs": times},
+            "failures": [r["failures"] for r in runs]}
+
+
 def src_lines(tree: Path) -> int:
     """The total `wc -l` (newline count) of tree's src/varschouten/*.py."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "varschouten").glob("*.py"))
@@ -196,8 +222,8 @@ def main(argv=None) -> int:
         layers = {w: {side: run_once(trees[side], w, 1, "--trace", "1")["metrics"] for side in SIDES}
                   for w in workloads}
         print("traced runs done", file=sys.stderr)
-        batteries = {side: battery_times(trees[side]) for side in SIDES}
-        geometries = {side: geometry_times(trees[side]) for side in SIDES}
+        batteries = repeat_sides(trees, battery_times)
+        geometries = repeat_sides(trees, geometry_times)
         print("battery runs done", file=sys.stderr)
         lines = {side: src_lines(trees[side]) for side in SIDES}
 
@@ -234,13 +260,17 @@ def main(argv=None) -> int:
         "batteries": {
             "config": "GeneratorConfig(seed=0, max_order=2)",
             "cases": BATTERY_CASES,
-            "runs": {name: {side: batteries[side][name] for side in SIDES} for name in batteries["parent"]},
+            "repeats": REPEATS,
+            "runs": {name: {side: spread([run[name] for run in batteries[side]]) for side in SIDES}
+                     for name in batteries["parent"][0]},
         },
         "geometries": {
             "battery": "definitions-agree",
             "config": "GeneratorConfig(geometry=Geometry(n, m, s), seed=1, max_order=2, max_terms=3)",
             "cases": GEOMETRY_CASES,
-            "runs": {g: {side: geometries[side][g] for side in SIDES} for g in geometries["parent"]},
+            "repeats": REPEATS,
+            "runs": {g: {side: spread([run[g] for run in geometries[side]]) for side in SIDES}
+                     for g in geometries["parent"][0]},
         },
     }
     text = json.dumps(report, indent=1) + "\n"

@@ -32,6 +32,9 @@ Everything downstream leans on the conventions fixed here:
   Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
   and the Euler operator _euler (downward along the same prefixes) all use it.
   _jet is the one D_sigma: slot substitution and the bA form read theirs from it.
+* _pieces splits a term dict into graded pieces, keyed by family word and
+  weight sum(sigma) - a, smallest first.  D_i and the Euler operators keep
+  each piece apart, so is_exact decides one piece at a time.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -589,6 +592,27 @@ def _euler(parts: dict) -> dict:
             d = _last_dim(ix)
             _derive_into(parts.setdefault(ix - _STEP[d], {}), parts.pop(ix), d, -1)
     return parts.get(0, {})
+
+
+def _pieces(terms: dict) -> list[dict]:
+    """The graded pieces of a term dict, smallest first.
+
+    A monomial x^a * prod u_sigma goes to the piece of its family word (the
+    families of its even factors, then of its odd factors, both sorted) and
+    its weight sum(sigma) - a in Z^n.  The key packs the weight into the
+    index bits of the layout: the sum of the factors' codes minus _STEP[d]
+    for each base factor x_d, which next to the word fixes the weight.  D_i
+    keeps the word and adds e_i to the weight, so a divergence splits into
+    one per piece.  Packed fields may alias when a weight is negative, which
+    only merges pieces.
+    """
+    pieces: dict = {}
+    for m, c in terms.items():
+        base, even, odd = m
+        word = even + odd
+        key = (sum(word) - sum(map(_STEP.__getitem__, base)), *map(_FIBER.__rrshift__, word))
+        pieces.setdefault(key, {})[m] = c
+    return sorted(pieces.values(), key=len)
 
 
 def _split_jet(v: int) -> tuple[JetVariable, int, int]:

@@ -10,6 +10,13 @@ well (the homotopy of the variational complex preserves polynomiality, and a
 pure base-variable polynomial is always a divergence), so a density is exact
 iff every fiber Euler operator vanishes.  That is the equality test on
 functionals.
+
+The criterion is linear and respects a grading that D_i preserves.  Give a
+monomial x^a * prod u_sigma its family word (the families of its factors)
+and its weight sum(sigma) - a in Z^n.  D_i keeps the word and adds e_i to
+the weight; the Euler operator of u removes u from the word and keeps the
+weight.  So a density is exact iff each of its graded pieces is, and
+is_exact decides one piece at a time, smallest first (algebra._pieces).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .algebra import (
     _gradient,
     _integral,
     _jet,
+    _pieces,
     _split_jet,
 )
 
@@ -64,11 +72,21 @@ def var_p(f: DiffPolynomial, slot: int, fiber: int) -> DiffPolynomial:
 
 
 def is_exact(f: DiffPolynomial) -> bool:
-    """True iff f is a total divergence (plus a pure base-variable part);
-    decided on f with its denominators cleared, which keeps the verdict."""
-    f = _integral(f)[0]
-    grad = _gradient(f.terms, LEFT)  # the right Euler operator is +-(left)
-    return not any(_euler(grad[family]) for family in sorted(grad))
+    """True iff f is a total divergence (plus a pure base-variable part).
+
+    Decided on f with its denominators cleared, which keeps the verdict, one
+    graded piece at a time, smallest first (algebra._pieces: a piece is keyed
+    by its family word and its weight sum(sigma) - a).  D_i keeps the word and
+    adds e_i to the weight; the Euler operator of u removes u from the word
+    and keeps the weight.  So f = sum_i D_i(P^i) holds iff it holds piece by
+    piece, and f is exact iff every piece is: the first Euler operator of a
+    piece that survives decides False.
+    """
+    for piece in _pieces(_integral(f)[0].terms):
+        grad = _gradient(piece, LEFT)  # the right Euler operator is +-(left)
+        if any(_euler(grad[family]) for family in sorted(grad)):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

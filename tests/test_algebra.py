@@ -27,12 +27,14 @@ from varschouten import (
     QKIND,
     RIGHT,
     bvar,
+    is_exact,
     midx,
     monomial,
     parse_polynomial,
     pvar,
     qvar,
 )
+from varschouten.algebra import Monomial, _pieces
 
 from helpers import (
     G11,
@@ -433,3 +435,56 @@ def test_scalar_ring_axioms(f):
     assert f + (-f) == DiffPolynomial.zero(G11)
     assert f.scaled(Fraction(3, 2)).scaled(Fraction(2, 3)) == f
     assert (f - f).is_zero
+
+
+# -- graded pieces of a density -------------------------------------------
+
+
+@pytest.mark.parametrize("geo", [G11, G22, G31], ids=["G11", "G22", "G31"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pieces_partition_the_terms_and_keep_divergences_whole(geo, data):
+    """_pieces splits a term dict into disjoint nonempty parts, smallest
+    first, and D_i of one piece lands in one piece."""
+    f = data.draw(polynomials(geo, max_terms=5))
+    pieces = _pieces(f.terms)
+    assert all(pieces) and [len(p) for p in pieces] == sorted(len(p) for p in pieces)
+    assert sum(len(p) for p in pieces) == len(f.terms)
+    assert {m: c for p in pieces for m, c in p.items()} == f.terms
+    for piece in pieces:
+        for dim in range(1, geo.n + 1):
+            assert len(_pieces(DiffPolynomial(geo, piece).total_derivative(dim).terms)) <= 1
+
+
+def _graded_example():
+    """D_x(x^2*q) + D_x(q*b) + q_x^2: three pieces of 2, 2 and 1 terms."""
+    q, qx = DiffPolynomial.variable(g, qvar(1)), DiffPolynomial.variable(g, qvar(1, 1))
+    b = DiffPolynomial.variable(g, bvar(1))
+    divergence = (DiffPolynomial.base(g, 1, 2) * q).total_derivative(1) + (q * b).total_derivative(1)
+    return divergence, qx * qx
+
+
+def test_graded_example_is_decided_piece_by_piece():
+    divergence, square = _graded_example()
+    f = divergence + square
+    assert [len(p) for p in _pieces(f.terms)] == [1, 2, 2]
+    assert _pieces(f.terms)[0] == square.terms
+    assert not is_exact(f)
+    assert is_exact(f - square)
+
+
+def test_smallest_deciding_piece_runs_only_its_own_euler_operators(monkeypatch):
+    """q_x^2 is the one-term piece and decides: the Euler operators see
+    only its q-partial, not the families of the two divergence pieces."""
+    from varschouten import variational
+
+    seen, euler = [], variational._euler
+
+    def recording(parts):
+        seen.append({m for terms in parts.values() for m in terms})
+        return euler(parts)
+
+    monkeypatch.setattr(variational, "_euler", recording)
+    divergence, square = _graded_example()
+    assert not is_exact(divergence + square)
+    assert seen == [{Monomial((), (qvar(1, 1),), ())}]

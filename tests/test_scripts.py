@@ -3,8 +3,9 @@
 Each runs in a subprocess against the checkout's src/ (see conftest.py),
 the way a reader would start it.  The worked examples print exact values,
 so their whole output is compared with the files in tests/golden/.
-bench_pairs.py takes half an hour, so only its summary function, its
-battery runs (with two cases) and its line count of the engine are checked.
+bench_pairs.py takes half an hour, so only its summary functions, its
+alternation of the repeated battery runs, its battery runs (with two cases)
+and its line count of the engine are checked.
 """
 
 import importlib.util
@@ -48,6 +49,17 @@ def test_bench_pairs_summarizes_the_per_pair_ratios():
     got = bench.compare([2.0, 4.0, 8.0, 16.0, 32.0], [3.0, 4.0, 12.0, 8.0, 32.0], "higher")
     assert got["pairs_won"] == {"parent": 1, "change": 2}
     assert got["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.5, "runs": [1.5, 1.0, 1.5, 0.5, 1.0]}
+
+
+def test_bench_pairs_repeats_each_side_alternating_and_keeps_the_spread():
+    bench = load_bench_pairs()
+    order = []
+    runs = bench.repeat_sides({"parent": "p", "change": "c"}, lambda tree: order.append(tree) or len(order))
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    assert runs == {"parent": [1, 4, 5], "change": [2, 3, 6]}
+    got = bench.spread([{"wall_time_s": t, "failures": 0} for t in (2.0, 1.0, 4.0)])
+    assert got == {"wall_time_s": {"median": 2.0, "min": 1.0, "max": 4.0, "runs": [2.0, 1.0, 4.0]},
+                   "failures": [0, 0, 0]}
 
 
 def test_bench_pairs_times_each_battery_on_a_tree():

@@ -285,6 +285,25 @@ def test_exactness_of_cleared_densities(geo):
     run()
 
 
+@pytest.mark.parametrize("geo", [G11, G22, G31], ids=["G11", "G22", "G31"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_graded_exactness_matches_whole_density_euler_operators(geo, data):
+    """is_exact decides piece by piece; the oracle runs the naive Euler
+    operator of every family on the whole density.  f is a random density,
+    a divergence, or their sum, so both verdicts occur, and a further
+    divergence in x1 (and in x2 at n >= 2) must not change the verdict."""
+    zero = DiffPolynomial.zero(geo)
+    part = data.draw(st.one_of(st.just(zero), polynomials(geo, max_terms=2)))
+    f = part + data.draw(polynomials(geo)).total_derivative(data.draw(st.integers(1, geo.n)))
+    verdict = all(naive_var(f, kind, fiber, slot).is_zero for kind, fiber, slot in f.families())
+    assert is_exact(f) == verdict
+    shifted = f + data.draw(polynomials(geo)).total_derivative(1)
+    assert is_exact(shifted) == verdict
+    if geo.n >= 2:
+        assert is_exact(shifted + data.draw(polynomials(geo)).total_derivative(2)) == verdict
+
+
 # -- interaction of insertion with the variational derivatives -----------
 
 
