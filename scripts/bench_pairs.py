@@ -150,10 +150,10 @@ def geometry_times(tree: Path, cases: int = GEOMETRY_CASES) -> dict:
 REPEATS = 3
 
 
-def repeat_sides(trees: dict, timer, repeats: int = REPEATS) -> dict:
-    """{side: [timer(tree), ...]}, repeats runs per side, which side goes first alternating."""
+def repeat_sides(trees: dict, timer) -> dict:
+    """{side: [timer(tree), ...]}, REPEATS runs per side, which side goes first alternating."""
     runs: dict = {side: [] for side in SIDES}
-    for i in range(repeats):
+    for i in range(REPEATS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             runs[side].append(timer(trees[side]))
     return runs

@@ -32,9 +32,10 @@ Everything downstream leans on the conventions fixed here:
   Leibniz loop: total_derivative, the jet memo _jet (upward from sigma - e_last)
   and the Euler operator _euler (downward along the same prefixes) all use it.
   _jet is the one D_sigma: slot substitution and the bA form read theirs from it.
-* _pieces splits a term dict into graded pieces, keyed by family word and
-  weight sum(sigma) - a, smallest first.  D_i and the Euler operators keep
-  each piece apart, so is_exact decides one piece at a time.
+* _pieces splits a term dict into graded pieces, smallest first, keyed by
+  one int: the factors' codes summed, minus _STEP[d] per base factor x_d,
+  which packs the family word's codes and the weight sum(sigma) - a.  D_i
+  adds _STEP[i] to every key, so is_exact decides one piece at a time.
 
 Coefficients are exact rationals and base-variable dependence is polynomial.
 Public results carry Fraction coefficients; ints live only inside one cleared
@@ -597,20 +598,20 @@ def _euler(parts: dict) -> dict:
 def _pieces(terms: dict) -> list[dict]:
     """The graded pieces of a term dict, smallest first.
 
-    A monomial x^a * prod u_sigma goes to the piece of its family word (the
-    families of its even factors, then of its odd factors, both sorted) and
-    its weight sum(sigma) - a in Z^n.  The key packs the weight into the
-    index bits of the layout: the sum of the factors' codes minus _STEP[d]
-    for each base factor x_d, which next to the word fixes the weight.  D_i
-    keeps the word and adds e_i to the weight, so a divergence splits into
-    one per piece.  Packed fields may alias when a weight is negative, which
-    only merges pieces.
+    A monomial x^a * prod u_sigma is keyed by the sum of its factors' codes
+    minus _STEP[d] for each base factor x_d.  In the layout's fields that int
+    holds the sum of the factors' family codes and, in the index bits, the
+    weight sum(sigma) - a in Z^n: a coarsening of the grading by family word
+    and weight, since carries between packed fields only merge pieces.  Every
+    monomial of D_i(m) has the key of m plus _STEP[i] (one factor's code moved
+    by _STEP[i], or one x_i dropped), so a divergence splits into one per piece.
     """
     pieces: dict = {}
     for m, c in terms.items():
         base, even, odd = m
-        word = even + odd
-        key = (sum(word) - sum(map(_STEP.__getitem__, base)), *map(_FIBER.__rrshift__, word))
+        key = sum(even, sum(odd))
+        for d in base:
+            key -= _STEP[d]
         pieces.setdefault(key, {})[m] = c
     return sorted(pieces.values(), key=len)
 

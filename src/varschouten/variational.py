@@ -16,7 +16,9 @@ monomial x^a * prod u_sigma its family word (the families of its factors)
 and its weight sum(sigma) - a in Z^n.  D_i keeps the word and adds e_i to
 the weight; the Euler operator of u removes u from the word and keeps the
 weight.  So a density is exact iff each of its graded pieces is, and
-is_exact decides one piece at a time, smallest first (algebra._pieces).
+is_exact decides one piece at a time, smallest first.  algebra._pieces keys
+the pieces by one int that packs the word's family codes and the weight; D_i
+adds a fixed step to that key, so the coarser pieces keep the argument.
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ def is_exact(f: DiffPolynomial) -> bool:
 
     Decided on f with its denominators cleared, which keeps the verdict, one
     graded piece at a time, smallest first (algebra._pieces: a piece is keyed
-    by its family word and its weight sum(sigma) - a).  D_i keeps the word and
-    adds e_i to the weight; the Euler operator of u removes u from the word
-    and keeps the weight.  So f = sum_i D_i(P^i) holds iff it holds piece by
-    piece, and f is exact iff every piece is: the first Euler operator of a
-    piece that survives decides False.
+    by its family word and its weight sum(sigma) - a, packed into one int).
+    D_i keeps the word and adds e_i to the weight; the Euler operator of u
+    removes u from the word and keeps the weight.  So f = sum_i D_i(P^i) holds
+    iff it holds piece by piece, and f is exact iff every piece is: the first
+    Euler operator of a piece that survives decides False.
     """
     for piece in _pieces(_integral(f)[0].terms):
         grad = _gradient(piece, LEFT)  # the right Euler operator is +-(left)
