@@ -76,44 +76,28 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="varschouten", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p = sub.add_parser("bracket", parents=[common], help="Schouten bracket, density formula")
-    p.add_argument("xi")
-    p.add_argument("eta")
+    def command(name, run, help, *positionals):
+        """Declare a subcommand: its help line, its positionals and the handler main runs."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("bracket-recursive", parents=[common], help="Schouten bracket via insertion recursion")
-    p.add_argument("xi")
-    p.add_argument("eta")
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a k-vector on k covector slots")
-    p.add_argument("xi")
+    command("bracket", functools.partial(_cmd_bracket, bracket_poisson),
+            "Schouten bracket, density formula", "xi", "eta")
+    command("bracket-recursive", functools.partial(_cmd_bracket, bracket_recursive),
+            "Schouten bracket via insertion recursion", "xi", "eta")
+    p = command("eval", _cmd_eval, "evaluate a k-vector on k covector slots", "xi")
     p.add_argument("slots", nargs="*", help="slot numbers or session aliases")
-
-    p = sub.add_parser("insert", parents=[common], help="fill the rightmost argument with a slot")
-    p.add_argument("xi")
-    p.add_argument("slot")
-
-    p = sub.add_parser("normalize", parents=[common], help="rewrite so every term starts with an underived b")
-    p.add_argument("density")
-
-    p = sub.add_parser("equiv", parents=[common], help="do two densities define the same functional?")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = sub.add_parser("degree", parents=[common], help="b-degree and class triviality of a density")
-    p.add_argument("density")
-
-    p = sub.add_parser("jacobi", parents=[common], help="graded Jacobi defect of three multivectors")
-    p.add_argument("xi")
-    p.add_argument("eta")
-    p.add_argument("zeta")
-
-    p = sub.add_parser("poisson-check", parents=[common], help="certify [[P,P]] = 0 for a bivector")
-    p.add_argument("bivector")
-
-    p = sub.add_parser("qfield", parents=[common], help="sections of the evolutionary field of a multivector")
-    p.add_argument("xi")
-
-    p = sub.add_parser("selftest", parents=[common], help="run the verification batteries")
+    command("insert", _cmd_insert, "fill the rightmost argument with a slot", "xi", "slot")
+    command("normalize", _cmd_normalize, "rewrite so every term starts with an underived b", "density")
+    command("equiv", _cmd_equiv, "do two densities define the same functional?", "lhs", "rhs")
+    command("degree", _cmd_degree, "b-degree and class triviality of a density", "density")
+    command("jacobi", _cmd_jacobi, "graded Jacobi defect of three multivectors", "xi", "eta", "zeta")
+    command("poisson-check", _cmd_poisson_check, "certify [[P,P]] = 0 for a bivector", "bivector")
+    command("qfield", _cmd_qfield, "sections of the evolutionary field of a multivector", "xi")
+    p = command("selftest", _cmd_selftest, "run the verification batteries")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=25)
     return top
@@ -162,29 +146,23 @@ def _show(f, args) -> str:
     return format_polynomial(f, latex=args.latex)
 
 
-def _print_class(report, args):
+def _show_class(density, args) -> str:
+    """A nonzero class's density: in bA form from b-degree 1 up, as computed at degree 0."""
+    if density.homogeneous_degree() >= 1:
+        density = normalize_to_bA_form(density)
+    return _show(density, args)
+
+
+def _cmd_bracket(route, args, session) -> int:
+    xi = multivector(_parse(args.xi, session))
+    eta = multivector(_parse(args.eta, session))
+    report = route(xi, eta)
     if report.zero:
         print("degree none")
         print("0")
-        return
+        return 0
     print(f"degree {report.degree}")
-    d = report.representative.density
-    if report.degree >= 1:
-        d = normalize_to_bA_form(d)
-    print(_show(d, args))
-
-
-def _cmd_bracket(args, session) -> int:
-    xi = multivector(_parse(args.xi, session))
-    eta = multivector(_parse(args.eta, session))
-    _print_class(bracket_poisson(xi, eta), args)
-    return 0
-
-
-def _cmd_bracket_recursive(args, session) -> int:
-    xi = multivector(_parse(args.xi, session))
-    eta = multivector(_parse(args.eta, session))
-    _print_class(bracket_recursive(xi, eta), args)
+    print(_show_class(report.representative.density, args))
     return 0
 
 
@@ -229,10 +207,7 @@ def _cmd_jacobi(args, session) -> int:
         print("zero class")
         return 0
     print("nonzero class")
-    d = defect.density
-    if d.homogeneous_degree() not in (None, 0):
-        d = normalize_to_bA_form(d)
-    print(_show(d, args))
+    print(_show_class(defect.density, args))
     return 1
 
 
@@ -243,7 +218,7 @@ def _cmd_poisson_check(args, session) -> int:
         print("PASS")
         return 0
     print("FAIL")
-    print(_show(normalize_to_bA_form(witness.density), args))
+    print(_show_class(witness.density, args))
     return 1
 
 
@@ -251,12 +226,10 @@ def _cmd_qfield(args, session) -> int:
     field = q_field(multivector(_parse(args.xi, session)))
     print(f"parity {field.parity}")
     m = session.geometry.m
-    for alpha in range(1, m + 1):
-        label = "q" if m == 1 else f"q{alpha}"
-        print(f"{label}: {_show(field.q_sections[alpha - 1], args)}")
-    for alpha in range(1, m + 1):
-        label = "b" if m == 1 else f"b{alpha}"
-        print(f"{label}: {_show(field.b_sections[alpha - 1], args)}")
+    for kind, sections in (("q", field.q_sections), ("b", field.b_sections)):
+        for alpha, section in enumerate(sections, 1):
+            label = kind if m == 1 else f"{kind}{alpha}"
+            print(f"{label}: {_show(section, args)}")
     return 0
 
 
@@ -276,26 +249,11 @@ def _cmd_selftest(args, session) -> int:
     return 0 if failed == 0 else 1
 
 
-_COMMANDS = {
-    "bracket": _cmd_bracket,
-    "bracket-recursive": _cmd_bracket_recursive,
-    "eval": _cmd_eval,
-    "insert": _cmd_insert,
-    "normalize": _cmd_normalize,
-    "equiv": _cmd_equiv,
-    "degree": _cmd_degree,
-    "jacobi": _cmd_jacobi,
-    "poisson-check": _cmd_poisson_check,
-    "qfield": _cmd_qfield,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         session = _environment(args)
-        return _COMMANDS[args.command](args, session)
+        return args.run(args, session)
     except ParseError as pe:
         print(f"parse error: {pe}", file=sys.stderr)
         return 2
@@ -303,10 +261,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-
-def run():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -26,6 +26,7 @@ from .multivector import Multivector
 from .variational import Functional, is_exact
 
 _MAX_REDRAWS = 32
+_COEFF_BOUND = 5
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class GeneratorConfig:
     max_degree: int = 3
     max_order: int = 3
     max_terms: int = 4
-    coeff_bound: int = 5
 
 
 def _random_index(cfg: GeneratorConfig, rng: random.Random):
@@ -43,9 +43,9 @@ def _random_index(cfg: GeneratorConfig, rng: random.Random):
     return midx(*(rng.randint(1, cfg.geometry.n) for _ in range(order)))
 
 
-def _random_coeff(cfg: GeneratorConfig, rng: random.Random) -> Fraction:
-    num = rng.randint(1, cfg.coeff_bound) * rng.choice((-1, 1))
-    return Fraction(num, rng.randint(1, cfg.coeff_bound))
+def _random_coeff(rng: random.Random) -> Fraction:
+    num = rng.randint(1, _COEFF_BOUND) * rng.choice((-1, 1))
+    return Fraction(num, rng.randint(1, _COEFF_BOUND))
 
 
 def _random_odd_word(cfg: GeneratorConfig, rng: random.Random, degree: int):
@@ -81,7 +81,7 @@ def random_density(
         ]
         out = out + monomial(
             g,
-            _random_coeff(cfg, rng),
+            _random_coeff(rng),
             base=base,
             even=even,
             odd=_random_odd_word(cfg, rng, degree),

@@ -340,15 +340,13 @@ def _default_probes(g: Geometry) -> list[DiffPolynomial]:
     ]
 
 
-def q_differential_check(p: Multivector, probes=None) -> bool:
+def q_differential_check(p: Multivector) -> bool:
     """For a certified Poisson bivector, int (Q^P)^2(f) must vanish on every probe."""
     ok, _ = is_poisson(p)
     if not ok:
         raise DomainError("the bivector is not Poisson; its field does not square to zero")
     field = q_field(p)
-    if probes is None:
-        probes = _default_probes(p.geometry)
-    for f in probes:
+    for f in _default_probes(p.geometry):
         if not is_exact(field.apply(field.apply(f))):
             return False
     return True

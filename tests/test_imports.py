@@ -11,6 +11,10 @@ other module under src/ imports one of its bit-layout constants.
 A third scan finds dead private helpers: every private (one leading
 underscore) name that a module under src/varschouten/ defines at its top
 level must be read, as a name or an attribute, somewhere in src/.
+
+A fourth scan finds dead parameters: every parameter of every function and
+lambda under src/varschouten/, except `self` and `cls`, must be read in its
+body, so a knob that no caller sets cannot be left half removed.
 """
 
 import ast
@@ -114,3 +118,33 @@ def test_the_scan_sees_an_unreferenced_private_name():
 def test_every_private_name_in_src_is_referenced():
     sources = [p.read_text() for p in sorted((ROOT / "src" / "varschouten").rglob("*.py"))]
     assert unreferenced_privates(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters, other than self and cls, that their function or lambda never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {"self", "cls"} | {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"line {node.lineno}: {name}({p.arg})" for p in params
+                   if p is not None and p.arg not in read]
+    return unread
+
+
+def test_the_scan_sees_an_unread_parameter():
+    source = "class C:\n    def f(self, a, *b, c, **d):\n        return a, d\ng = lambda x, y: x\n"
+    assert unread_parameters(source) == ["line 2: f(b)", "line 2: f(c)", "line 4: lambda(y)"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "varschouten").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_parameter_in_src_is_read(path):
+    assert unread_parameters(path.read_text()) == []

@@ -5,6 +5,7 @@ exit code conventions: 0 success/true, 1 false verdicts, 2 parse errors,
 3 domain errors.
 """
 
+import argparse
 import subprocess
 import sys
 
@@ -107,6 +108,9 @@ def test_bracket_command_golden(capsys):
     code, out, _ = run_cli(capsys, "bracket", "b*b_x", "b*x^3*q_xx")
     assert code == 0
     assert out == "degree 2\n12*x*b_x*b + 6*x^2*b_xx*b + 2*x^3*b_xxx*b\n"
+    # a degree-0 class has no bA form and is shown as computed
+    assert run_cli(capsys, "bracket", "q^3", "x*q*b") == (0, "degree 0\n3*x*q^3\n", "")
+    assert run_cli(capsys, "bracket", "x*q*b", "q^3") == (0, "degree 0\n-3*x*q^3\n", "")
 
 
 def test_bracket_of_commuting_flows(capsys):
@@ -119,6 +123,8 @@ def test_bracket_recursive_command(capsys):
     code, out, _ = run_cli(capsys, "bracket-recursive", "b*b_x", "b*x^3*q_xx")
     assert code == 0
     assert out == "degree 2\n2*x^3*b_xxx*b\n"
+    assert run_cli(capsys, "bracket-recursive", "q^3", "x*q*b") == (0, "degree 0\n3*x*q^3\n", "")
+    assert run_cli(capsys, "bracket-recursive", "x*q*b", "q^3") == (0, "degree 0\n-3*x*q^3\n", "")
 
 
 def test_latex_output(capsys):
@@ -166,6 +172,10 @@ def test_qfield_command(capsys):
     code, out, _ = run_cli(capsys, "qfield", "b*b_x + q*b*b_x")
     assert code == 0
     assert out == "parity 1\nq: q_x*b + 2*b_x + 2*q*b_x\nb: b*b_x\n"
+    # with m >= 2 every section is labelled with its fiber index
+    code, out, _ = run_cli(capsys, "qfield", "--geometry", "1,2,4", "b1*b2_x + q2*b1*b2")
+    assert code == 0
+    assert out == "parity 1\nq1: q2*b2 + b2_x\nq2: -q2*b1 + b1_x\nb1: 0\nb2: b1*b2\n"
 
 
 def test_selftest_command(capsys):
@@ -342,6 +352,41 @@ def _exit_output(capsys, *argv):
         main(list(argv))
     captured = capsys.readouterr()
     return info.value.code, captured.out, captured.err
+
+
+# (help line, positionals as (name, nargs)) of each subcommand; usage errors name the positionals
+SUBCOMMANDS = {
+    "bracket": ("Schouten bracket, density formula", [("xi", None), ("eta", None)]),
+    "bracket-recursive": ("Schouten bracket via insertion recursion", [("xi", None), ("eta", None)]),
+    "eval": ("evaluate a k-vector on k covector slots", [("xi", None), ("slots", "*")]),
+    "insert": ("fill the rightmost argument with a slot", [("xi", None), ("slot", None)]),
+    "normalize": ("rewrite so every term starts with an underived b", [("density", None)]),
+    "equiv": ("do two densities define the same functional?", [("lhs", None), ("rhs", None)]),
+    "degree": ("b-degree and class triviality of a density", [("density", None)]),
+    "jacobi": ("graded Jacobi defect of three multivectors", [("xi", None), ("eta", None), ("zeta", None)]),
+    "poisson-check": ("certify [[P,P]] = 0 for a bivector", [("bivector", None)]),
+    "qfield": ("sections of the evolutionary field of a multivector", [("xi", None)]),
+    "selftest": ("run the verification batteries", []),
+}
+COMMON_OPTIONS = {"--geometry": None, "--file": None, "--latex": False}
+
+
+def test_subcommand_table():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: help_line for name, (help_line, _) in SUBCOMMANDS.items()
+    }
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, parser in sub.choices.items():
+        positionals = [(a.dest, a.nargs) for a in parser._actions if not a.option_strings]
+        options = {
+            option: a.default
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+            for option in a.option_strings
+        }
+        extra = {"--seed": 0, "--cases": 25} if name == "selftest" else {}
+        assert (name, positionals, options) == (name, SUBCOMMANDS[name][1], COMMON_OPTIONS | extra)
 
 
 def test_main_builds_its_parser_once(capsys):
