@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 QKIND, PKIND, BKIND = 0, 1, 2
 LEFT, RIGHT = "left", "right"
@@ -502,32 +502,6 @@ class DiffPolynomial:
         return max((v >> _ORDER & _FIELD_MAX for v in self.jet_variables()), default=0)
 
     # -- substitutions --------------------------------------------------------
-
-    def substitute_odd(self, assignments: Mapping[int, int]) -> "DiffPolynomial":
-        """Replace the i-th odd factor (1-based, canonical order) by the slot variable
-        with the same fiber and index.
-
-        The replacement is even, so it commutes out of the odd word with no sign.
-        A monomial gets only the positions its word has: {1: 1, 3: 2} turns b*b_x into p1*b_x.
-        """
-        g = self.geometry
-        for pos, slot in assignments.items():
-            if pos < 1:
-                raise DomainError(f"odd position {pos} is not positive")
-            if not 1 <= slot <= g.s:
-                raise DomainError(f"covector slot {slot} outside geometry bounds (s={g.s})")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            hit = [(pos, slot) for pos, slot in assignments.items() if pos <= len(m.odd)]
-            if not hit:
-                mono = m
-            else:
-                drop = {pos - 1 for pos, _ in hit}
-                slots = [_with_slot(m.odd[pos - 1], PKIND, slot) for pos, slot in hit]
-                word = tuple(v for i, v in enumerate(m.odd) if i not in drop)
-                mono = Monomial(m.base, tuple(sorted([*m.even, *slots])), word)
-            _add_term(out, mono, c)
-        return DiffPolynomial(g, out)
 
     def substitute_slot(
         self, slot: int, sections: Sequence["DiffPolynomial"]

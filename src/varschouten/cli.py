@@ -137,7 +137,7 @@ def _parse(text: str, session: Session):
 def _slot(text: str, session: Session) -> int:
     if text in session.slots:
         return session.slots[text]
-    if not text.isdigit():
+    if not text.isdecimal():
         raise DomainError(f"slot {text!r} is neither a number nor a declared alias")
     return int(text)
 

@@ -98,18 +98,20 @@ def iota(f: DiffPolynomial, slot: int) -> DiffPolynomial:
         return f
     if k < 1:
         raise DomainError("cannot insert a covector into a degree-0 density")
+    _check_slots((slot,), f.geometry, ())
     out: dict = {}
-    for j in range(1, k + 1):
-        for m, c in f.substitute_odd({j: slot}).terms.items():
-            _add_term(out, m, c if (k - j) % 2 == 0 else -c)
+    for (base, even, odd), c in f.terms.items():
+        for j, v in enumerate(odd, 1):
+            even_j = tuple(sorted((*even, _with_slot(v, PKIND, slot))))
+            _add_term(out, Monomial(base, even_j, odd[: j - 1] + odd[j:]), c if (k - j) % 2 == 0 else -c)
     return DiffPolynomial(f.geometry, out).scaled(Fraction(1, k))
 
 
-def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...]) -> DiffPolynomial:
-    """One representative per orbit of f inserted along chain by the unscaled
-    insertion sums (k * iota at b-degree k), f of b-degree len(chain), or one
-    more to keep one letter odd: the inserted odd letters, in ascending order,
-    go to the chain's slots in ascending order; f itself if chain or f is empty.
+def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...], sign: int) -> DiffPolynomial:
+    """sign times one representative per orbit of f inserted along chain by the
+    unscaled insertion sums (k * iota at b-degree k), f of b-degree len(chain), or
+    one more to keep one letter odd: the inserted odd letters, in ascending order,
+    go to the chain's slots in ascending order; sign * f if chain or f is empty.
 
     The step that gives a letter away signs it (-1)^(number of letters after
     it in the word).  Summed over the chain, that counts the pairs of slots the
@@ -118,15 +120,17 @@ def _chain_representatives(f: DiffPolynomial, chain: tuple[int, ...]) -> DiffPol
     term of the chain is a renaming of the slots of one of these, signed by it.
     """
     if not chain or f.is_zero:
-        return f
+        return f if sign > 0 else -f
     degree = f.homogeneous_degree()
-    sign = _sort_word(list(reversed(chain)))[0]
+    sign *= _sort_word(list(reversed(chain)))[0]
+    slots = sorted(chain)
     out: dict = {}
-    for r in range(1, degree + 1) if degree > len(chain) else (0,):
-        positions = [p for p in range(1, degree + 1) if p != r]
-        for m, c in f.substitute_odd(dict(zip(positions, sorted(chain)))).terms.items():
-            _add_term(out, m, c if sign > 0 else -c)
-        sign = -sign  # one more inserted letter precedes the next letter kept odd
+    for (base, even, odd), c in f.terms.items():
+        c = c if sign > 0 else -c
+        for r in range(degree) if degree > len(chain) else (degree,):  # keeps odd[r:r + 1]
+            inserted = tuple(_with_slot(v, PKIND, p) for v, p in zip(odd[:r] + odd[r + 1 :], slots))
+            _add_term(out, Monomial(base, tuple(sorted(even + inserted)), odd[r : r + 1]), c)
+            c = -c  # one more inserted letter precedes the next letter kept odd
     return DiffPolynomial(f.geometry, out)
 
 

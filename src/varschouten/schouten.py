@@ -251,8 +251,8 @@ def _recursive_density(
 
     def leaf(h: DiffPolynomial, h_chain, phi: DiffPolynomial, phi_chain, sign: int) -> None:
         """Add sign * int d_phi(H) into terms, H and phi inserted along their chains."""
-        h = _chain_representatives(h if sign > 0 else -h, h_chain)
-        _apply_into(terms, h, _section_of(_chain_representatives(phi, phi_chain)), ())
+        h = _chain_representatives(h, h_chain, sign)
+        _apply_into(terms, h, _section_of(_chain_representatives(phi, phi_chain, 1)), ())
 
     if l:  # [[H, phi]] = int d_phi(H), weight (-1)^(C(l-1,2) + k(l-1)) C(k+l-1, k)
         leaf(f, slots[l - 1 :][::-1], g, slots[: l - 1], (-1) ** ((l - 1) * (l - 2) // 2 + k * (l - 1)))

@@ -101,7 +101,7 @@ def _load_let(session: Session, line: str, lineno: int, budget: _Budget):
 def _load_slot(session: Session, line: str, lineno: int):
     name, rest, col0 = _binding(session, line, lineno, "slot")
     rest = rest.strip()
-    if not rest.isdigit():
+    if not rest.isdecimal():
         raise ParseError("slot alias needs an integer slot number", lineno, col0)
     j = int(rest)
     if not 1 <= j <= session.geometry.s:

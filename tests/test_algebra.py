@@ -27,6 +27,7 @@ from varschouten import (
     QKIND,
     RIGHT,
     bvar,
+    iota,
     is_exact,
     midx,
     monomial,
@@ -119,7 +120,8 @@ def test_tuple_order_is_the_reference_order(geo, data):
     # so the signs folded into coefficients are the reference signs
     f, h = data.draw(polynomials(geo)), data.draw(polynomials(geo))
     key = reference_order(n)
-    results = [f * h, f.substitute_odd({1: 1})]
+    results = [f * h]
+    results += [iota(comp, 1) for deg, comp in f.b_components().items() if deg >= 1]
     results += [f.total_derivative(dim) for dim in range(1, n + 1)]
     for r in results:
         for m in r.terms:
@@ -170,20 +172,6 @@ def test_slot_variables_shift_but_do_not_couple_to_q():
     f = DiffPolynomial.variable(g, pvar(1, 1))
     assert f.total_derivative(1) == DiffPolynomial.variable(g, pvar(1, 1, 1))
     assert f.partial(qvar(1), LEFT).is_zero
-
-
-def test_substitute_odd_positions():
-    f = poly((1, [], [], [bvar(1), bvar(1, 1)]))
-    swapped = f.substitute_odd({2: 1})
-    expected = DiffPolynomial.variable(g, bvar(1)) * DiffPolynomial.variable(
-        g, pvar(1, 1, 1)
-    )
-    assert swapped == expected
-    # a position beyond the word leaves the monomial alone
-    assert f.substitute_odd({3: 1}) == f
-    # the positions the word has are substituted, the others skipped
-    p1 = DiffPolynomial.variable(g, pvar(1, 1))
-    assert f.substitute_odd({1: 1, 3: 2}) == p1 * DiffPolynomial.variable(g, bvar(1, 1))
 
 
 def test_substitute_slot_transports_sections():

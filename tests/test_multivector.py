@@ -32,7 +32,7 @@ from varschouten import (
     qvar,
 )
 
-from helpers import polynomials
+from helpers import G22, G31, polynomials
 
 g = Geometry(1, 1, 4)
 
@@ -63,6 +63,22 @@ def test_insertion_halves_translation_bivector():
     )
 
 
+def test_insertion_of_a_trivector_and_beside_another_slot():
+    third = Fraction(1, 3)
+    xi = poly((1, [], [], [bvar(1), bvar(1, 1), bvar(1, 1, 1)]))  # b*b_x*b_xx
+    assert iota(xi, 1) == poly(
+        (third, [], [pvar(1, 1)], [bvar(1, 1), bvar(1, 1, 1)]),
+        (-third, [], [pvar(1, 1, 1)], [bvar(1), bvar(1, 1, 1)]),
+        (third, [], [pvar(1, 1, 1, 1)], [bvar(1), bvar(1, 1)]),
+    )
+    half = Fraction(1, 2)
+    slotted = poly((1, [], [pvar(2, 1)], [bvar(1), bvar(1, 1)]))  # p2*b*b_x
+    assert iota(slotted, 1) == poly(
+        (-half, [], [pvar(1, 1), pvar(2, 1)], [bvar(1, 1)]),
+        (half, [], [pvar(1, 1, 1), pvar(2, 1)], [bvar(1)]),
+    )
+
+
 def test_insert_drops_degree_and_guards_slots():
     xi = mv((1, [], [], [bvar(1), bvar(1, 1)]))
     out = insert(xi, 2)
@@ -72,6 +88,9 @@ def test_insert_drops_degree_and_guards_slots():
         insert(insert(out, 1), 1)
     with pytest.raises(DomainError):
         insert(evaluate_and_wrap_zero(), 1)
+    for outside in (0, 5):
+        with pytest.raises(DomainError, match="outside geometry bounds"):
+            iota(xi.density, outside)
 
 
 def evaluate_and_wrap_zero():
@@ -127,8 +146,12 @@ def test_evaluation_validates_slot_lists():
         evaluate(seeded, (1, 2))
 
 
-@settings(max_examples=40, deadline=None)
-@given(homogeneous)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([g, G22, G31]).flatmap(
+        lambda geo: st.integers(1, min(3, geo.s)).flatmap(lambda k: polynomials(geo, degree=k))
+    )
+)
 def test_evaluate_agrees_with_iterated_insertion(f):
     k = f.homogeneous_degree()
     if k is None:

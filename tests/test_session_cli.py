@@ -57,6 +57,7 @@ def test_session_happy_path():
         ("geometry 1 1 4\nslot p1 = 1", "line 2, col 6: name 'p1' shadows a variable token"),
         ("geometry 1 1 4\nslot first = 9", "line 2, col 14: slot 9 out of range 1..4"),
         ("geometry 1 1 4\nslot first = x", "line 2, col 14: slot alias needs an integer slot number"),
+        ("geometry 1 1 4\nslot first = \u00b2", "line 2, col 14: slot alias needs an integer slot number"),
         ("", "line 1, col 1: session file declares no geometry"),
         ("# nothing but comments\n  \n", "line 1, col 1: session file declares no geometry"),
     ],
@@ -267,6 +268,9 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
     assert err == "error: covector slots must be distinct\n"
     code, _, err = run_cli(capsys, "eval", "b*b_x", "1", "nope")
+    assert code == 3
+    assert "neither a number nor a declared alias" in err
+    code, _, err = run_cli(capsys, "eval", "b*b_x", "\u00b2", "1")
     assert code == 3
     assert "neither a number nor a declared alias" in err
 
