@@ -98,7 +98,7 @@ def iota(f: DiffPolynomial, slot: int) -> DiffPolynomial:
         return f
     if k < 1:
         raise DomainError("cannot insert a covector into a degree-0 density")
-    _check_slots((slot,), f.geometry, ())
+    _check_slots((slot,), f.geometry, f.slots_used())
     out: dict = {}
     for (base, even, odd), c in f.terms.items():
         for j, v in enumerate(odd, 1):
@@ -138,8 +138,6 @@ def insert(xi: Multivector, slot: int) -> Multivector:
     """Fill the rightmost covector argument of xi with slot variables."""
     if xi.degree < 1:
         raise DomainError("cannot insert a covector into a 0-vector")
-    if slot in xi.density.slots_used():
-        raise DomainError(f"slot {slot} already used in the multivector")
     return Multivector(Functional(iota(xi.density, slot)), xi.degree - 1)
 
 

@@ -61,8 +61,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*^()])"
 )
 
-_JET_RE = re.compile(r"([qb])([0-9]*)(?:_([A-Za-z0-9]*))?$")
-_SLOT_RE = re.compile(r"p([0-9]+)(?:\.([0-9]+))?(?:_([A-Za-z0-9]*))?$")
+_JET_RE = re.compile(r"(?:([qb])([0-9]*)|p([0-9]+)(?:\.([0-9]+))?)(?:_([A-Za-z0-9]*))?$")
 _BASE_RE = re.compile(r"x([0-9]+)$")
 
 _KINDS = {"q": QKIND, "b": BKIND}
@@ -102,21 +101,6 @@ def tokenize(text: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("end", "", len(text)))
     return tokens
-
-
-def _parse_suffix(suffix: str, g: Geometry) -> tuple[int, ...] | None:
-    """Derivative letters to a dim sequence; None when malformed."""
-    if g.n == 1:
-        if suffix and set(suffix) == {"x"}:
-            return (1,) * len(suffix)
-        return None
-    if not re.fullmatch(r"(?:x[0-9]+)+", suffix):
-        return None
-    dims = tuple(int(d) for d in re.findall(r"x([0-9]+)", suffix))
-    for d in dims:
-        if not 1 <= d <= g.n:
-            return None
-    return dims
 
 
 def _factors(p: DiffPolynomial) -> int:
@@ -271,35 +255,29 @@ class _ExprParser:
             return DiffPolynomial.base(g, dim)
 
         m = _JET_RE.match(name)
-        if m:
-            letter, fiber_s, suffix = m.groups()
-            fiber = self._fiber(fiber_s, tok)
-            dims = self._dims(suffix, tok)
-            return DiffPolynomial.variable(
-                g, JetVariable(_KINDS[letter], fiber, midx(*dims))
-            )
-        m = _SLOT_RE.match(name)
-        if m:
-            slot_s, fiber_s, suffix = m.groups()
-            slot = int(slot_s)
+        if not m:
+            self._err(f"unknown name {name!r}", tok.pos)
+        letter, fiber_s, slot_s, slot_fiber_s, suffix = m.groups()
+        if letter:
+            kind, slot = _KINDS[letter], 0
+        else:
+            kind, slot, fiber_s = PKIND, int(slot_s), slot_fiber_s
             if not 1 <= slot <= g.s:
                 self._err(f"covector slot {slot} out of range 1..{g.s}", tok.pos)
-            if fiber_s is None and g.m > 1:
-                self._err(f"p{slot} needs a fiber with m = {g.m}: p{slot}.<fiber>", tok.pos)
-            fiber = int(fiber_s) if fiber_s is not None else 1
-            if not 1 <= fiber <= g.m:
-                self._err(f"fiber index {fiber} out of range 1..{g.m}", tok.pos)
-            dims = self._dims(suffix, tok)
-            return DiffPolynomial.variable(
-                g, JetVariable(PKIND, fiber, midx(*dims), slot)
-            )
-        self._err(f"unknown name {name!r}", tok.pos)
+        fiber = self._fiber(fiber_s, tok, slot)
+        dims = self._dims(suffix, tok)
+        return DiffPolynomial.variable(g, JetVariable(kind, fiber, midx(*dims), slot))
 
-    def _fiber(self, fiber_s: str, tok: Token) -> int:
+    def _fiber(self, fiber_s: str | None, tok: Token, slot: int) -> int:
+        """The fiber of a q or b token (slot 0) or of the slot variable p<slot>."""
         g = self.g
         if not fiber_s:
             if g.m != 1:
-                self._err(f"fiber index required when m = {g.m}", tok.pos)
+                self._err(
+                    f"p{slot} needs a fiber with m = {g.m}: p{slot}.<fiber>"
+                    if slot else f"fiber index required when m = {g.m}",
+                    tok.pos,
+                )
             return 1
         fiber = int(fiber_s)
         if not 1 <= fiber <= g.m:
@@ -307,11 +285,18 @@ class _ExprParser:
         return fiber
 
     def _dims(self, suffix: str | None, tok: Token) -> tuple[int, ...]:
+        """Derivative letters to a dim sequence: 'x' letters when n = 1, x1..xn pairs otherwise."""
         if suffix is None:
             return ()
-        dims = _parse_suffix(suffix, self.g)
-        if dims is None:
-            expected = "'x' letters" if self.g.n == 1 else "pairs like x1x1x2"
+        g = self.g
+        if g.n == 1:
+            dims = (1,) * len(suffix)
+            valid = set(suffix) == {"x"}
+        else:
+            dims = tuple(int(d) for d in re.findall(r"x([0-9]+)", suffix))
+            valid = re.fullmatch(r"(?:x[0-9]+)+", suffix) and all(1 <= d <= g.n for d in dims)
+        if not valid:
+            expected = "'x' letters" if g.n == 1 else "pairs like x1x1x2"
             self._err(f"bad derivative suffix {suffix!r}; expected {expected}", tok.pos)
         if any(dims.count(d) > _MAX_JET_ORDER for d in set(dims)):
             self._err(f"more than {_MAX_JET_ORDER} derivatives in one base dimension", tok.pos)

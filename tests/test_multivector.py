@@ -91,6 +91,10 @@ def test_insert_drops_degree_and_guards_slots():
     for outside in (0, 5):
         with pytest.raises(DomainError, match="outside geometry bounds"):
             iota(xi.density, outside)
+    carried = poly((1, [], [pvar(2, 1)], [bvar(1), bvar(1, 1)]))
+    for refuse in (lambda: iota(carried, 2), lambda: insert(multivector(carried), 2)):
+        with pytest.raises(DomainError, match="slot 2 already used in the multivector"):
+            refuse()
 
 
 def evaluate_and_wrap_zero():

@@ -115,6 +115,13 @@ def test_bound_names_substitute_polynomials():
         ("x2", "unknown name 'x2'", 1, 1),
         ("p9_x", "covector slot 9 out of range 1..4", 1, 1),
         ("p1.2", "fiber index 2 out of range 1..1", 1, 1),
+        ("q0", "fiber index 0 out of range 1..1", 1, 1),
+        ("p1.0", "fiber index 0 out of range 1..1", 1, 1),
+        ("p0", "covector slot 0 out of range 1..4", 1, 1),
+        ("p5.1", "covector slot 5 out of range 1..4", 1, 1),
+        ("q_", "bad derivative suffix ''; expected 'x' letters", 1, 1),
+        ("p1_", "bad derivative suffix ''; expected 'x' letters", 1, 1),
+        ("p1_xz", "bad derivative suffix 'xz'; expected 'x' letters", 1, 1),
         ("q@", "unexpected character '@'", 1, 2),
         ("q +\n* b", "unexpected '*'", 2, 1),
         ("1/2*q +\nq*b_xy", "bad derivative suffix 'xy'", 2, 3),
@@ -125,6 +132,10 @@ def test_bound_names_substitute_polynomials():
         pytest.param(
             "q_" + "x" * 63 + "*b_" + "x" * 64,
             "more than 63 derivatives in one base dimension", 1, 67, id="jet-order",
+        ),
+        pytest.param(
+            "q*p1_" + "x" * 64, "more than 63 derivatives in one base dimension", 1, 3,
+            id="jet-order-slot",
         ),
         pytest.param(
             "(q+q_x+q_xx+q_xxx+q_xxxx+b)^40*b",
@@ -150,6 +161,11 @@ def test_two_dimensional_error_messages():
     assert "needs a fiber" in err("p1", geo=G22).message
     assert "bare 'x' needs n = 1" in err("x", geo=G22).message
     assert "pairs like x1x1x2" in err("b1_xx", geo=G22).message
+    assert err("b1_x3", geo=G22).message == "bad derivative suffix 'x3'; expected pairs like x1x1x2"
+    assert err("b1_x0", geo=G22).message == "bad derivative suffix 'x0'; expected pairs like x1x1x2"
+    assert err("p2_x1", geo=G22).message == "p2 needs a fiber with m = 2: p2.<fiber>"
+    assert err("b_x1", geo=G22).message == "fiber index required when m = 2"
+    assert err("p1.3", geo=G22).message == "fiber index 3 out of range 1..2"
     assert "base index 3 out of range" in err("x3", geo=G22).message
 
 

@@ -114,6 +114,12 @@ def test_failure_records_carry_case_index_and_printed_inputs(monkeypatch):
     assert report.failures[2] == FailureRecord(
         "remarks", 2, 11, (), "covector substitution unexpectedly satisfied the identity"
     )
+    # a golden check is recorded the same way, named in the detail
+    golden = battery_golden_examples(cfg)
+    assert golden.summary_line() == "golden-examples 9 1 11"
+    assert golden.failures == (
+        FailureRecord("golden-examples", 7, 11, (), "pairing factor instance: golden value mismatch"),
+    )
 
 
 def test_golden_examples_battery_is_deterministic():

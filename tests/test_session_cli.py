@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from varschouten import Geometry, ParseError, cli, load_session
+from varschouten import Geometry, ParseError, batteries, cli, load_session
 from varschouten.batteries import BatteryReport, FailureRecord
 from varschouten.cli import main
 
@@ -190,6 +190,34 @@ def test_selftest_command(capsys):
         "golden-examples 9 0 5\n"
     )
     assert err == ""
+
+
+@pytest.mark.parametrize("geometry", ["2,2,3", "1,2,2"])
+def test_selftest_runs_with_several_fibers(capsys, geometry):
+    code, out, err = run_cli(capsys, "selftest", "--geometry", geometry, "--cases", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "definitions-agree 1 0 0\n"
+        "jacobi 1 0 0\n"
+        "commutator 1 0 0\n"
+        "remarks 2 0 0\n"
+        "golden-examples 9 0 0\n"
+    )
+
+
+def test_selftest_needs_two_covector_slots(capsys):
+    # the remarks and golden batteries fill slots 1 and 2
+    code, out, err = run_cli(capsys, "selftest", "--geometry", "1,1,1", "--cases", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: covector slot 2 outside geometry bounds (s=1)\n"
+
+
+def test_selftest_names_a_failing_golden_check(capsys, monkeypatch):
+    monkeypatch.setattr(batteries, "_remark1_holds", lambda h, xi: False)
+    monkeypatch.setattr(cli, "run_all", lambda cfg, cases: [batteries.battery_golden_examples(cfg)])
+    code, out, err = run_cli(capsys, "selftest", "--seed", "5", "--cases", "1")
+    assert (code, out) == (1, "golden-examples 9 1 5\n")
+    assert err == "  case 7: pairing factor instance: golden value mismatch\n"
 
 
 def test_selftest_prints_each_failure(capsys, monkeypatch):
