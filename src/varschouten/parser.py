@@ -294,7 +294,7 @@ class _ExprParser:
             valid = set(suffix) == {"x"}
         else:
             dims = tuple(int(d) for d in re.findall(r"x([0-9]+)", suffix))
-            valid = re.fullmatch(r"(?:x[0-9]+)+", suffix) and all(1 <= d <= g.n for d in dims)
+            valid = re.fullmatch(r"(?:x[0-9]+)+", suffix) and 1 <= min(dims) and max(dims) <= g.n
         if not valid:
             expected = "'x' letters" if g.n == 1 else "pairs like x1x1x2"
             self._err(f"bad derivative suffix {suffix!r}; expected {expected}", tok.pos)
